@@ -10,7 +10,6 @@
 //      "decoupled scalability" in action under bursts).
 
 #include "bench/bench_common.h"
-#include "common/thread_annotations.h"
 
 namespace crayfish::bench {
 namespace {
@@ -51,7 +50,7 @@ void AsyncIoStudy() {
       "penalty the paper's external numbers carry largely disappears.\n\n");
 }
 
-void AdaptiveBatchingStudy() CRAYFISH_REQUIRES("setup") {
+void AdaptiveBatchingStudy() {
   // Direct server-level study: 1000 single-sample requests arriving at a
   // fixed rate, with and without server-side batching.
   core::ReportTable table(
@@ -77,7 +76,6 @@ void AdaptiveBatchingStudy() CRAYFISH_REQUIRES("setup") {
     for (int i = 0; i < 1000; ++i) {
       sim.Schedule(3.0 + i * 0.002, [&, i]() {
         (*server)->Invoke("client", 1, [&]() {
-          // lint: cross-host-ok bench harness: one simulation pumped to completion on the measuring thread, so the captured counters have a single writer
           if (++completed == 1000) done_at = sim.Now();
         });
       });
@@ -152,7 +150,7 @@ void AutoscaleStudy() {
 }  // namespace
 }  // namespace crayfish::bench
 
-int main(int argc, char** argv) CRAYFISH_REQUIRES("setup") {
+int main(int argc, char** argv) {
   crayfish::SetLogLevel(crayfish::LogLevel::kWarning);
   crayfish::bench::Init(argc, argv);
   crayfish::bench::AsyncIoStudy();

@@ -12,7 +12,6 @@
 #include "core/experiment.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
-#include "common/thread_annotations.h"
 
 namespace {
 
@@ -23,7 +22,6 @@ void BM_SimulationEventDispatch(benchmark::State& state) {
     sim::Simulation sim;
     uint64_t fired = 0;
     for (int i = 0; i < 10000; ++i) {
-      // lint: cross-host-ok bench harness: one simulation pumped to completion on the measuring thread, so the captured counter has a single writer
       sim.Schedule(i * 1e-4, [&fired]() { ++fired; });
     }
     sim.RunUntilIdle();
@@ -33,8 +31,7 @@ void BM_SimulationEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventDispatch);
 
-void BM_NetworkTransfers(benchmark::State& state)
-    CRAYFISH_REQUIRES("setup") {
+void BM_NetworkTransfers(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;
     sim::Network net(&sim);
@@ -50,8 +47,7 @@ void BM_NetworkTransfers(benchmark::State& state)
 }
 BENCHMARK(BM_NetworkTransfers);
 
-void BM_BrokerProduceConsume(benchmark::State& state)
-    CRAYFISH_REQUIRES("setup") {
+void BM_BrokerProduceConsume(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim(1);
     sim::Network net(&sim);

@@ -1,4 +1,4 @@
-// Performance harness for the simulator's host-side hot paths. Three
+// Performance harness for the simulator's host-side hot paths. Four
 // measurements, each against an in-binary baseline that reproduces the
 // pre-optimization implementation:
 //
@@ -12,18 +12,8 @@
 //     whose payload is a shared immutable buffer.
 //  3. Sweep — wall-clock for a small figure-style sweep, --jobs=1 vs all
 //     hardware threads through core::SweepRunner.
-//  4. Partitioned DES — one fixed workload (64 hosts, CPU-bound confined
-//     ticks plus cross-host ring messages through the mailbox path) run at
-//     sim_threads 1/2/4/8. Checksums must match across thread counts (the
-//     engine's byte-for-byte determinism contract); wall-clock scaling is
-//     recorded together with hardware_concurrency so a 1-core runner's
-//     numbers are read as protocol overhead, not scaling.
-//  5. Confined pipeline — the full RQ1-style experiment (producer → Kafka
-//     → Flink → external serving) after the confinement-planner migration,
-//     run at sim_threads 1/2/4/8. A fingerprint over the result (counts,
-//     clock bits, metric summary) must be identical at every thread count;
-//     wall-clock per point shows what host-confined scheduling buys the
-//     real pipeline, subject to the same hardware_concurrency caveat.
+//  4. Cluster construct — standing up a 1000-host fleet with a
+//     256-partition topic; asserts no link state materializes.
 //
 // Emits BENCH_perf.json (in --out, default the working directory) so the
 // numbers are tracked per commit. Wall-clock reads are fine here: this
@@ -247,196 +237,10 @@ double SweepWallClock(const std::vector<core::ExperimentConfig>& configs,
   return SecondsSince(start);
 }
 
-// ---------------------------------------------------------------------------
-// 4. Partitioned DES scaling
-// ---------------------------------------------------------------------------
-
-constexpr int kPartHosts = 64;
-constexpr int kPartTicks = 400;           // self-rescheduling ticks per host
-constexpr int kPartSpin = 2'000;          // xorshift rounds per tick (CPU load)
-constexpr int kPartSendEvery = 8;         // cross-host send cadence, in ticks
-constexpr double kPartStep = 0.0005;      // same-host reschedule step, seconds
-constexpr double kPartLookahead = 0.002;  // cross-host latency bound, seconds
-
-/// Per-host state, cache-line padded so neighbouring hosts owned by
-/// different partitions never share a line.
-struct alignas(64) PartHostState {
-  uint64_t sum = 0;
-  int ticks = 0;
-};
-
-/// Fixed workload, variable thread count: every host runs a CPU-bound
-/// self-rescheduling tick and messages its ring neighbour every
-/// kPartSendEvery ticks at exactly the lookahead bound, so the mailbox
-/// merge path is exercised, not just independent per-host queues. The
-/// checksum folds per-host sums in host-id order with a non-commutative
-/// mix, so equality across thread counts means equal per-host event
-/// histories, not merely equal totals.
-class PartitionedWorkload {
- public:
-  explicit PartitionedWorkload(int threads) : state_(kPartHosts) {
-    sim_.SetThreads(threads);
-    sim_.SetLookahead(kPartLookahead);
-    for (int h = 0; h < kPartHosts; ++h) {
-      char name[16];
-      std::snprintf(name, sizeof(name), "h%02d", h);
-      sim_.RegisterHost(name);
-    }
-    for (int h = 0; h < kPartHosts; ++h) {
-      sim_.ScheduleAtOnHost(h, kPartStep * (1 + h % 4),
-                            sim::InlineAction([this, h]() { Tick(h); }));
-    }
-  }
-
-  uint64_t Run() { return sim_.RunUntilIdle(); }
-
-  uint64_t Checksum() const {
-    uint64_t sum = 0;
-    for (const PartHostState& st : state_) {
-      sum = sum * 1099511628211ull + st.sum;
-    }
-    return sum;
-  }
-
- private:
-  void Tick(int h) {
-    PartHostState& st = state_[static_cast<size_t>(h)];
-    uint64_t x = st.sum ^ (0x9e3779b97f4a7c15ull + static_cast<uint64_t>(h));
-    for (int i = 0; i < kPartSpin; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    st.sum = st.sum * 31 + x;
-    ++st.ticks;
-    if (st.ticks >= kPartTicks) return;
-    sim_.ScheduleOnHost(h, kPartStep,
-                        sim::InlineAction([this, h]() { Tick(h); }));
-    if (st.ticks % kPartSendEvery == 0) {
-      const int to = (h + 1) % kPartHosts;
-      const uint64_t payload = st.sum;
-      sim_.ScheduleAtOnHost(
-          to, sim_.Now() + kPartLookahead,
-          sim::InlineAction([this, to, payload]() {
-            PartHostState& dst = state_[static_cast<size_t>(to)];
-            dst.sum = dst.sum * 33 + payload;
-          }));
-    }
-  }
-
-  sim::Simulation sim_{42};
-  std::vector<PartHostState> state_;
-};
-
-struct PartitionedPoint {
-  int threads = 1;
-  double wall_s = 0.0;
-  double events_per_s = 0.0;
-};
-
-std::vector<PartitionedPoint> PartitionedScaling(uint64_t* checksum,
-                                                 uint64_t* events) {
-  std::vector<PartitionedPoint> out;
-  uint64_t ref_sum = 0;
-  uint64_t ref_events = 0;
-  for (int n : {1, 2, 4, 8}) {
-    {
-      PartitionedWorkload warm(n);  // warm-up pass per point
-      warm.Run();
-    }
-    PartitionedWorkload w(n);
-    const auto start = Clock::now();
-    const uint64_t ran = w.Run();
-    const double elapsed = SecondsSince(start);
-    const uint64_t sum = w.Checksum();
-    if (out.empty()) {
-      ref_sum = sum;
-      ref_events = ran;
-    }
-    CRAYFISH_CHECK(sum == ref_sum)
-        << "partitioned run at " << n
-        << " threads diverged from the serial checksum";
-    CRAYFISH_CHECK(ran == ref_events)
-        << "partitioned run at " << n << " threads executed " << ran
-        << " events, serial executed " << ref_events;
-    out.push_back({n, elapsed, static_cast<double>(ran) / elapsed});
-  }
-  *checksum = ref_sum;
-  *events = ref_events;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// 5. Confined pipeline
-// ---------------------------------------------------------------------------
-
-core::ExperimentConfig PipelineConfig(int threads) {
-  core::ExperimentConfig cfg;
-  cfg.engine = "flink";
-  cfg.serving = "tf-serving";
-  cfg.model = "ffnn";
-  cfg.batch_size = 4;
-  cfg.input_rate = 500.0;
-  cfg.duration_s = 12.0;
-  cfg.drain_s = 4.0;
-  cfg.seed = 42;
-  cfg.sim_threads = threads;
-  return cfg;
-}
-
-/// FNV-1a over the run's observable surface: event counts, the end-of-run
-/// clock bits, and the metric summary JSON. Any cross-thread-count
-/// divergence in scheduling order lands in at least one of these.
-uint64_t PipelineFingerprint(const core::ExperimentResult& r) {
-  std::string surface = r.summary.ToJson();
-  surface += std::to_string(r.events_sent);
-  surface += std::to_string(r.events_scored);
-  surface += std::to_string(r.sim_events_executed);
-  uint64_t clock_bits = 0;
-  std::memcpy(&clock_bits, &r.sim_end_s, sizeof(clock_bits));
-  surface += std::to_string(clock_bits);
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : surface) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::vector<PartitionedPoint> PipelineScaling(uint64_t* checksum,
-                                              uint64_t* events) {
-  std::vector<PartitionedPoint> out;
-  uint64_t ref_sum = 0;
-  uint64_t ref_events = 0;
-  for (int n : {1, 2, 4, 8}) {
-    const auto start = Clock::now();
-    const auto r = core::RunExperiment(PipelineConfig(n));
-    const double elapsed = SecondsSince(start);
-    CRAYFISH_CHECK(r.ok()) << r.status().ToString();
-    const uint64_t sum = PipelineFingerprint(*r);
-    if (out.empty()) {
-      ref_sum = sum;
-      ref_events = r->sim_events_executed;
-    }
-    CRAYFISH_CHECK(sum == ref_sum)
-        << "confined pipeline at sim_threads=" << n
-        << " diverged from the serial fingerprint";
-    CRAYFISH_CHECK(r->sim_events_executed == ref_events)
-        << "confined pipeline at sim_threads=" << n << " executed "
-        << r->sim_events_executed << " events, serial executed "
-        << ref_events;
-    out.push_back(
-        {n, elapsed, static_cast<double>(ref_events) / elapsed});
-  }
-  *checksum = ref_sum;
-  *events = ref_events;
-  return out;
-}
-
-// --- section 6: lean cluster construction ----------------------------------
+// --- section 4: lean cluster construction ----------------------------------
 // Cost of standing up the autoscaler's cluster-scale topology: a 1000-host
 // fleet with a 256-partition topic. With lazy per-partition bookkeeping and
-// per-source link buckets this is linear in hosts + partitions; the
+// lazily created links this is linear in hosts + partitions; the
 // live-link count doubles as evidence that nothing quadratic materialized.
 
 constexpr int kClusterHosts = 1000;
@@ -462,7 +266,6 @@ ClusterConstructResult ClusterConstruct() {
   broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
   const auto created = cluster.CreateTopic("wide", kClusterPartitions);
   CRAYFISH_CHECK(created.ok()) << created.ToString();
-  network.FreezeTopology();
   ClusterConstructResult r;
   r.wall_s = SecondsSince(start);
   r.live_links = network.live_link_count();
@@ -518,47 +321,6 @@ void RunHarness() {
   std::printf("  jobs=%-4d %8.2f s   (%.2fx)\n", parallel_jobs, parallel_s,
               sweep_speedup);
 
-  std::printf("bench_perf_harness: partitioned DES (%d hosts, %d ticks/host, "
-              "sim_threads 1/2/4/8)...\n",
-              kPartHosts, kPartTicks);
-  uint64_t part_checksum = 0;
-  uint64_t part_events = 0;
-  const std::vector<PartitionedPoint> part =
-      PartitionedScaling(&part_checksum, &part_events);
-  for (const PartitionedPoint& p : part) {
-    std::printf("  threads=%-2d %8.3f s  %12.0f events/s   (%.2fx)\n",
-                p.threads, p.wall_s, p.events_per_s,
-                part[0].wall_s / p.wall_s);
-  }
-  const double part_speedup_4 = part[0].wall_s / part[2].wall_s;
-  // Scaling claims are only meaningful when the machine actually has the
-  // cores; on a 1-core runner every extra partition timeshares the same
-  // core and the numbers measure windowing overhead, which is worth
-  // tracking but must not be read as a regression.
-  const char* part_note =
-      hw >= 4
-          ? "measured on >=4 hardware threads; speedup_at_4_threads is a "
-            "real scaling figure"
-          : "hardware_concurrency < 4: partitions timeshare the available "
-            "core(s), so these points record determinism and protocol "
-            "overhead, not scaling";
-  if (hw < 4) {
-    std::printf("  note: %s\n", part_note);
-  }
-
-  std::printf("bench_perf_harness: confined pipeline (flink + tf-serving, "
-              "sim_threads 1/2/4/8)...\n");
-  uint64_t pipe_checksum = 0;
-  uint64_t pipe_events = 0;
-  const std::vector<PartitionedPoint> pipe =
-      PipelineScaling(&pipe_checksum, &pipe_events);
-  for (const PartitionedPoint& p : pipe) {
-    std::printf("  threads=%-2d %8.3f s  %12.0f events/s   (%.2fx)\n",
-                p.threads, p.wall_s, p.events_per_s,
-                pipe[0].wall_s / p.wall_s);
-  }
-  const double pipe_speedup_4 = pipe[0].wall_s / pipe[2].wall_s;
-
   std::printf("bench_perf_harness: cluster construct (%d hosts, "
               "%d partitions, lazy broker state)...\n",
               kClusterHosts, kClusterPartitions);
@@ -599,33 +361,12 @@ void RunHarness() {
       "    \"parallel_wall_s\": %.3f,\n"
       "    \"speedup\": %.3f\n"
       "  },\n"
-      "  \"partitioned_des\": {\n"
-      "    \"hosts\": %d,\n"
-      "    \"events\": %llu,\n"
-      "    \"checksum\": %llu,\n"
-      "    \"threads\": [%d, %d, %d, %d],\n"
-      "    \"wall_s\": [%.3f, %.3f, %.3f, %.3f],\n"
-      "    \"events_per_s\": [%.0f, %.0f, %.0f, %.0f],\n"
-      "    \"speedup_at_4_threads\": %.3f,\n"
-      "    \"note\": \"%s\"\n"
-      "  },\n"
-      "  \"pipeline_confined\": {\n"
-      "    \"engine\": \"flink\",\n"
-      "    \"serving\": \"tf-serving\",\n"
-      "    \"events\": %llu,\n"
-      "    \"checksum\": %llu,\n"
-      "    \"threads\": [%d, %d, %d, %d],\n"
-      "    \"wall_s\": [%.3f, %.3f, %.3f, %.3f],\n"
-      "    \"events_per_s\": [%.0f, %.0f, %.0f, %.0f],\n"
-      "    \"speedup_at_4_threads\": %.3f,\n"
-      "    \"note\": \"%s\"\n"
-      "  },\n"
       "  \"cluster_construct\": {\n"
       "    \"hosts\": %d,\n"
       "    \"partitions\": %d,\n"
       "    \"wall_s\": %.3f,\n"
       "    \"live_links\": %zu,\n"
-      "    \"note\": \"per-source link buckets and null partition slots: "
+      "    \"note\": \"lazy links and null partition slots: "
       "construction is linear in hosts + partitions, no host-pair links or "
       "eager partition state\"\n"
       "  }\n"
@@ -633,19 +374,7 @@ void RunHarness() {
       hw, static_cast<unsigned long long>(kMicroEvents), legacy_eps,
       optimized_eps, micro_speedup, kRecordCount, kFanOut, kPayloadBytes,
       copy_rps, shared_rps, record_speedup, configs.size(), parallel_jobs,
-      serial_s, parallel_s, sweep_speedup, kPartHosts,
-      static_cast<unsigned long long>(part_events),
-      static_cast<unsigned long long>(part_checksum), part[0].threads,
-      part[1].threads, part[2].threads, part[3].threads, part[0].wall_s,
-      part[1].wall_s, part[2].wall_s, part[3].wall_s, part[0].events_per_s,
-      part[1].events_per_s, part[2].events_per_s, part[3].events_per_s,
-      part_speedup_4, part_note,
-      static_cast<unsigned long long>(pipe_events),
-      static_cast<unsigned long long>(pipe_checksum), pipe[0].threads,
-      pipe[1].threads, pipe[2].threads, pipe[3].threads, pipe[0].wall_s,
-      pipe[1].wall_s, pipe[2].wall_s, pipe[3].wall_s, pipe[0].events_per_s,
-      pipe[1].events_per_s, pipe[2].events_per_s, pipe[3].events_per_s,
-      pipe_speedup_4, part_note, kClusterHosts, kClusterPartitions,
+      serial_s, parallel_s, sweep_speedup, kClusterHosts, kClusterPartitions,
       cluster.wall_s, cluster.live_links);
   out << buf;
   std::printf("wrote %s\n", path.c_str());

@@ -167,15 +167,15 @@ void KafkaCluster::Produce(const std::string& client_host,
                            std::function<void(crayfish::Status)> on_ack) {
   auto it = topics_.find(tp.topic);
   if (it == topics_.end() || tp.partition >= it->second.partition_count) {
-    // Error acks never leave the client host: confine them there.
-    ScheduleOnHost(client_host, 0.0, [on_ack = std::move(on_ack), tp]() {
+    // Error acks never leave the client host.
+    sim_->Schedule(0.0, [on_ack = std::move(on_ack), tp]() {
       if (on_ack) on_ack(crayfish::Status::NotFound(tp.ToString()));
     });
     return;
   }
   const uint64_t request_bytes = BatchWireSize(batch);
   if (request_bytes > config_.max_request_bytes) {
-    ScheduleOnHost(client_host, 0.0, [on_ack = std::move(on_ack)]() {
+    sim_->Schedule(0.0, [on_ack = std::move(on_ack)]() {
       if (on_ack) {
         on_ack(crayfish::Status::InvalidArgument(
             "produce request exceeds max.request.size"));
@@ -186,7 +186,7 @@ void KafkaCluster::Produce(const std::string& client_host,
   const std::string leader = LeaderHost(tp);
   if (!LeaderAvailable(tp)) {
     // Connection refused: the leader is down, nothing crosses the network.
-    ScheduleOnHost(client_host, config_.unavailable_error_delay_s,
+    sim_->Schedule(config_.unavailable_error_delay_s,
                    [on_ack = std::move(on_ack), leader]() {
                      if (on_ack) {
                        on_ack(crayfish::Status::Unavailable(
@@ -209,10 +209,9 @@ void KafkaCluster::Produce(const std::string& client_host,
         const double process =
             config_.request_overhead_s +
             config_.append_per_record_s * static_cast<double>(batch.size());
-        // Broker-side processing happens on the leader (the delivery
-        // callback already runs there; pinning the host keeps it true).
-        ScheduleOnHost(
-            leader, process,
+        // Broker-side processing happens on the leader.
+        sim_->Schedule(
+            process,
             [this, tp, leader, client_host, batch = std::move(batch),
              on_ack = std::move(on_ack)]() mutable {
               if (!LeaderAvailable(tp)) {
@@ -221,8 +220,8 @@ void KafkaCluster::Produce(const std::string& client_host,
                 // connection as a retriable error. The ack lands on the
                 // client host (a dead leader sends no traffic, so this is
                 // the one leader->client hop that skips the network).
-                ScheduleOnHost(
-                    client_host, config_.unavailable_error_delay_s,
+                sim_->Schedule(
+                    config_.unavailable_error_delay_s,
                     [on_ack = std::move(on_ack), leader]() {
                       if (on_ack) {
                         on_ack(crayfish::Status::Unavailable(
@@ -264,7 +263,7 @@ void KafkaCluster::Fetch(const std::string& client_host,
   const std::string leader = LeaderHost(tp);
   if (!LeaderAvailable(tp)) {
     // Connection refused: empty response after the error delay.
-    ScheduleOnHost(client_host, config_.unavailable_error_delay_s,
+    sim_->Schedule(config_.unavailable_error_delay_s,
                    [on_records = std::move(on_records)]() mutable {
                      if (on_records) on_records({});
                    });
@@ -276,8 +275,8 @@ void KafkaCluster::Fetch(const std::string& client_host,
       [this, tp, leader, offset, max_records, max_bytes, max_wait_s,
        client_host, on_records = std::move(on_records)]() mutable {
         // Request processing stays on the leader broker.
-        ScheduleOnHost(
-            leader, config_.request_overhead_s,
+        sim_->Schedule(
+            config_.request_overhead_s,
             [this, tp, offset, max_records, max_bytes, max_wait_s,
              client_host = std::move(client_host),
              on_records = std::move(on_records)]() mutable {
@@ -285,8 +284,8 @@ void KafkaCluster::Fetch(const std::string& client_host,
                 // Crashed while the request was in flight: the empty
                 // response materializes on the client host directly (the
                 // dead leader sends nothing over the network).
-                ScheduleOnHost(
-                    client_host, config_.unavailable_error_delay_s,
+                sim_->Schedule(
+                    config_.unavailable_error_delay_s,
                     [on_records = std::move(on_records)]() mutable {
                       if (on_records) on_records({});
                     });
@@ -434,16 +433,6 @@ void KafkaCluster::Rebalance(const std::string& group,
   }
 }
 
-void KafkaCluster::ScheduleOnHost(const std::string& host,
-                                  sim::SimTime delay,
-                                  sim::InlineAction action) {
-  if (sim_->host_scheduling_active()) {
-    sim_->ScheduleOnHost(host, delay, std::move(action));
-  } else {
-    sim_->Schedule(delay, std::move(action));
-  }
-}
-
 int KafkaCluster::CoordinatorBroker(const std::string& group) const {
   uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
   for (const char c : group) {
@@ -453,27 +442,9 @@ int KafkaCluster::CoordinatorBroker(const std::string& group) const {
   return static_cast<int>(h % broker_hosts_.size());
 }
 
-void KafkaCluster::EnsureCommitSlot(const std::string& group,
-                                    const TopicPartition& tp) {
-  // emplace keeps an already-committed offset (rebalance re-assignment).
-  committed_[group].emplace(tp.ToString(), 0);
-}
-
 void KafkaCluster::CommitOffset(const std::string& group,
                                 const TopicPartition& tp, int64_t offset) {
   if (!broker_up_[static_cast<size_t>(CoordinatorBroker(group))]) return;
-  // Hot path is a value-only write on a slot EnsureCommitSlot pre-created
-  // during assignment; commits from host-confined poll loops therefore
-  // never mutate map structure. The insert fallback serves direct test
-  // usage that skips Assign.
-  auto git = committed_.find(group);
-  if (git != committed_.end()) {
-    auto oit = git->second.find(tp.ToString());
-    if (oit != git->second.end()) {
-      oit->second = offset;
-      return;
-    }
-  }
   committed_[group][tp.ToString()] = offset;
 }
 

@@ -104,10 +104,7 @@ class KafkaConsumer {
   /// resume from the group's committed offsets, re-processing anything
   /// uncommitted (at-least-once, duplicates possible, no loss). An
   /// outstanding Poll completes empty once the restart delay elapses.
-  /// Reached only through FaultHooks at exclusive sync points, so its
-  /// restart events stay on the coordinator's global queue.
-  void FailAndRestart(double restart_delay_s)
-      CRAYFISH_GLOBAL_PLANE("fault hook; runs at exclusive sync points");
+  void FailAndRestart(double restart_delay_s);
 
   /// Stops fetch loops; outstanding fetches are dropped on arrival.
   void Close();
@@ -141,10 +138,6 @@ class KafkaConsumer {
   ~KafkaConsumer();
 
  private:
-  /// Confines client-side work (poll delivery, deserialization, backoff)
-  /// to this consumer's host when the experiment armed host scheduling;
-  /// falls back to the global queue so unit tests keep their event order.
-  void ScheduleOnHost(sim::SimTime delay, sim::InlineAction action);
 
   void StartFetchLoop(const TopicPartition& tp);
   void FetchOnce(const TopicPartition& tp);

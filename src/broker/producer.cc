@@ -26,16 +26,6 @@ KafkaProducer::KafkaProducer(KafkaCluster* cluster, std::string client_host,
 
 KafkaProducer::~KafkaProducer() { *alive_ = false; }
 
-void KafkaProducer::ScheduleOnHost(sim::SimTime delay,
-                                   sim::InlineAction action) {
-  sim::Simulation* sim = cluster_->simulation();
-  if (sim->host_scheduling_active()) {
-    sim->ScheduleOnHost(client_host_, delay, std::move(action));
-  } else {
-    sim->Schedule(delay, std::move(action));
-  }
-}
-
 crayfish::Status KafkaProducer::Send(const std::string& topic, Record record,
                                      AckCallback on_ack) {
   CRAYFISH_ASSIGN_OR_RETURN(int partitions, cluster_->NumPartitions(topic));
@@ -71,9 +61,10 @@ crayfish::Status KafkaProducer::SendToPartition(const TopicPartition& tp,
     batch.flush_scheduled = true;
     // linger: coalesces records produced within the window into one
     // request; linger 0 still coalesces same-instant sends.
-    ScheduleOnHost(config_.linger_s, [this, tp, alive = alive_]() {
-      if (*alive) FlushPartition(tp);
-    });
+    cluster_->simulation()->Schedule(
+        config_.linger_s, [this, tp, alive = alive_]() {
+          if (*alive) FlushPartition(tp);
+        });
   }
   return crayfish::Status::Ok();
 }
@@ -94,9 +85,9 @@ void KafkaProducer::FlushPartition(const TopicPartition& tp) {
   // the statistics counters are guarded by the lifetime token.
   KafkaCluster* cluster = cluster_;
   std::string host = client_host_;
-  ScheduleOnHost(serialize, [this, cluster, host = std::move(host), tp,
-                             record_count, alive = alive_,
-                             batch = std::move(batch)]() mutable {
+  cluster->simulation()->Schedule(
+      serialize, [this, cluster, host = std::move(host), tp, record_count,
+                  alive = alive_, batch = std::move(batch)]() mutable {
     auto acks =
         std::make_shared<std::vector<AckCallback>>(std::move(batch.acks));
     // The produce request leaves the client here: linger + client-side
@@ -155,8 +146,8 @@ void KafkaProducer::SendBatch(const TopicPartition& tp,
       }
       const double delay = retry_.BackoffFor(
           std::min(attempt, retry_.max_retries - 1), &*rng_);
-      ScheduleOnHost(delay, [this, tp, acks, attempt, backup,
-                             alive]() mutable {
+      cluster_->simulation()->Schedule(delay, [this, tp, acks, attempt,
+                                               backup, alive]() mutable {
         if (!*alive) return;  // teardown mid-backoff: drop the re-send
         SendBatch(tp, std::move(*backup), acks, attempt + 1);
       });
@@ -168,7 +159,7 @@ void KafkaProducer::SendBatch(const TopicPartition& tp,
     }
   };
 
-  ScheduleOnHost(retry_.timeout_s, [settled, fail, tp]() {
+  cluster_->simulation()->Schedule(retry_.timeout_s, [settled, fail, tp]() {
     if (*settled) return;
     *settled = true;
     fail(crayfish::Status::Timeout("produce timed out: " + tp.ToString()));

@@ -67,10 +67,6 @@ class KafkaProducer {
   const crayfish::RetryPolicy& retry_policy() const { return retry_; }
 
  private:
-  /// Confines client-side work (linger flush, serialization, retry timers)
-  /// to this producer's host when the experiment armed host scheduling;
-  /// falls back to the global queue so unit tests keep their event order.
-  void ScheduleOnHost(sim::SimTime delay, sim::InlineAction action);
 
   struct PendingBatch {
     std::vector<Record> records;

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -59,11 +60,23 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     return crayfish::Status::InvalidArgument(
         "batch_size, parallelism and input_rate must be positive");
   }
+  // Non-finite spans would never end the run; negative ones would end it
+  // before it starts. Zero is valid (a set-up-only run).
+  if (!std::isfinite(config.duration_s) || config.duration_s < 0.0) {
+    return crayfish::Status::InvalidArgument(
+        "duration_s must be finite and >= 0");
+  }
+  if (!std::isfinite(config.drain_s) || config.drain_s < 0.0) {
+    return crayfish::Status::InvalidArgument(
+        "drain_s must be finite and >= 0");
+  }
   const bool external = serving::IsExternalTool(config.serving);
   if (!external && !serving::IsEmbeddedLibrary(config.serving)) {
     return crayfish::Status::InvalidArgument("unknown serving tool: " +
                                              config.serving);
   }
+  // Benchmark-pinned: perfbench/ still sets sim_threads. Validated, and
+  // otherwise ignored — there is one event queue.
   if (config.sim_threads < 1 || config.sim_threads > 64) {
     return crayfish::Status::InvalidArgument(
         "sim_threads must be in [1, 64]");
@@ -82,9 +95,6 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   }
 
   sim::Simulation sim(config.seed);
-  // Before any host registration: partition count fixes the host ->
-  // partition packing for the whole run.
-  sim.SetThreads(config.sim_threads);
 
   // Observability is attached before any component is built, so even
   // construction-time activity (topic creation, model loading) is visible
@@ -132,7 +142,6 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     // Before any client exists: producers, consumers, and the serving
     // client all inherit the plan's robustness policy at construction.
     CRAYFISH_RETURN_IF_ERROR(config.fault_plan.Validate());
-    // lint: capability-ok setup phase: runs single-threaded before any client or event exists, which is exactly what the "setup" channel asserts
     cluster.SetClientDefaults(config.fault_plan.retry,
                               config.fault_plan.auto_commit_interval_s);
   }
@@ -148,13 +157,11 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
   }
 
   // Cluster-scale topology (scale::WorkloadSpec): idle fleet hosts plus
-  // per-tenant background topics. Hosts are registered before
-  // FreezeTopology, so a thousand-host fleet costs one empty link bucket
-  // per host; tenant topics allocate per-partition broker state lazily on
-  // first produce.
+  // per-tenant background topics. Links are created on first use, so a
+  // thousand-host fleet costs no link state until hosts talk; tenant
+  // topics allocate per-partition broker state lazily on first produce.
   if (config.workload.enabled) {
     for (int i = 0; i < config.workload.fleet_hosts; ++i) {
-      // lint: capability-ok setup phase: fleet registration runs single-threaded before FreezeTopology and the first event, which is what the "setup" channel asserts
       CRAYFISH_RETURN_IF_ERROR(network.AddHost(
           sim::Host{config.workload.fleet_host_prefix + std::to_string(i),
                     /*vcpus=*/4, /*memory_bytes=*/15ULL << 30,
@@ -188,8 +195,7 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     CRAYFISH_ASSIGN_OR_RETURN(
         server, serving::CreateExternalServer(&sim, &network,
                                               config.serving, opts));
-    // Started below, after the lookahead is armed, so the model-load and
-    // readiness events confine to the serving host.
+    // Started below, with the other components, once setup is complete.
   } else {
     CRAYFISH_ASSIGN_OR_RETURN(library,
                               serving::CreateEmbeddedLibrary(config.serving));
@@ -315,10 +321,8 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     CRAYFISH_RETURN_IF_ERROR(injector->Arm());
   }
 
-  // Elastic autoscaler: the control loop runs as exclusive events at
-  // global sync points (every partition quiescent), so resizes are
-  // byte-for-byte identical at any sim_threads value. All ticks are
-  // pre-scheduled here, before the first simulated event.
+  // Elastic autoscaler: all ticks are pre-scheduled here, before the first
+  // simulated event.
   std::optional<scale::Actuator> actuator;
   std::optional<scale::Autoscaler> autoscaler;
   if (autoscaled) {
@@ -339,8 +343,8 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     actuator.emplace(&sim, config.serving, std::move(ahooks));
 
     // Window deltas (busy seconds, events sent) between consecutive ticks.
-    // Ticks execute in strict time order on the global plane, so this
-    // mutable state is single-writer and its evolution is deterministic.
+    // Ticks execute in strict time order, so this mutable state evolves
+    // deterministically.
     struct SamplerState {
       double prev_t = 0.0;
       double prev_busy = 0.0;
@@ -411,15 +415,6 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
                          [srv]() { return srv->worker_busy_seconds(); });
     }
   }
-
-  // Parallel DES: freeze the link table so confined senders read it
-  // without locks, and derive the conservative lookahead from the minimum
-  // link propagation latency — the floor under every cross-host delivery.
-  // Done at every thread count: threads=1 runs the same protocol, which
-  // is what makes the byte-for-byte equality claim testable.
-  // lint: capability-ok setup phase: last setup step before the first simulated event, single-threaded by construction
-  network.FreezeTopology();
-  sim.SetLookahead(network.MinLinkLatency());
 
   if (server != nullptr) server->Start();
   CRAYFISH_RETURN_IF_ERROR(engine->Start());

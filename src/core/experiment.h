@@ -81,11 +81,9 @@ struct ExperimentConfig {
   uint64_t max_measurements = 0;
   uint64_t seed = 42;
 
-  /// Host partitions (and threads) for the parallel DES engine
-  /// (DESIGN.md §4.6). 1 = the serial engine; N > 1 shards hosts across N
-  /// threads under the conservative time-window protocol. Results are
-  /// byte-for-byte identical at any value — this is a wall-clock knob,
-  /// never a semantics knob (asserted by tests/determinism_test.cc).
+  /// Benchmark-pinned forward: the perfbench/ benchmark is its only
+  /// caller. Must lie in [1, 64]; otherwise ignored (one event queue —
+  /// scale out with SweepRunner's `--jobs` instead).
   int sim_threads = 1;
 
   // --- fault injection ---

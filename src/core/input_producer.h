@@ -47,11 +47,6 @@ class InputProducer {
 
  private:
   void EmitNext();
-  /// Confine the emit loop to the producer host when the experiment armed
-  /// host scheduling; fall back to the global queue so unit tests keep
-  /// their exact event order.
-  void ScheduleOnHost(sim::SimTime delay, sim::InlineAction action);
-  void ScheduleAtOnHost(sim::SimTime time, sim::InlineAction action);
 
   sim::Simulation* sim_;
   broker::KafkaCluster* cluster_;

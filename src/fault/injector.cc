@@ -56,49 +56,21 @@ Status FaultInjector::Arm() {
   }
   armed_ = true;
   for (const FaultSpec& spec : plan_->faults) {
-    // Exclusive events: executed at a global synchronization point (fault
-    // actions touch cross-partition substrates), attributed to the
-    // partition owning the fault's target host.
-    const std::string owner = OwnerHost(spec);
-    sim_->ScheduleExclusiveAt(owner, spec.at_s,
-                              [this, &spec]() { Inject(spec); });
+    sim_->ScheduleAt(spec.at_s, [this, &spec]() { Inject(spec); });
     // kTaskRestart windows end when the task is back, not at until_s.
     if (spec.kind == FaultKind::kTaskRestart) {
-      sim_->ScheduleExclusiveAt(owner, spec.at_s + spec.restart_delay_s,
-                                [this, &spec]() { Repair(spec); });
+      sim_->ScheduleAt(spec.at_s + spec.restart_delay_s,
+                       [this, &spec]() { Repair(spec); });
     } else if (spec.until_s >= 0.0) {
-      sim_->ScheduleExclusiveAt(owner, spec.until_s,
-                                [this, &spec]() { Repair(spec); });
+      sim_->ScheduleAt(spec.until_s, [this, &spec]() { Repair(spec); });
     }
   }
   return Status::Ok();
 }
 
-std::string FaultInjector::OwnerHost(const FaultSpec& spec) const {
-  switch (spec.kind) {
-    case FaultKind::kBrokerCrash: {
-      const auto& hosts = cluster_->broker_hosts();
-      if (hosts.empty()) return "";
-      return hosts[static_cast<size_t>(spec.broker) % hosts.size()];
-    }
-    case FaultKind::kLinkDegrade:
-      // A directed link belongs to its source host; wildcard rules ("")
-      // have no single owner and fall through to partition 0.
-      return spec.from;
-    case FaultKind::kServingSlowdown:
-    case FaultKind::kServingDown:
-    case FaultKind::kWorkerResize:
-    case FaultKind::kTaskRestart:
-      // Hook-based faults act on components, not hosts.
-      return "";
-  }
-  return "";
-}
-
 void FaultInjector::Inject(const FaultSpec& spec) {
   CRAYFISH_LOG(Info) << "fault inject " << FaultKindName(spec.kind) << " \""
                      << spec.name << "\" at t=" << sim_->Now();
-  // lint: cross-host-ok recovery bookkeeping: per-fault windows are keyed by fault name, so concurrent Begin/End from different faults never touch the same entry
   tracker_->BeginFault(spec, sim_->Now());
   if (obs::TimelineSampler* tl = sim_->timeline()) {
     tl->BeginFault(spec.name, sim_->Now());
@@ -106,7 +78,6 @@ void FaultInjector::Inject(const FaultSpec& spec) {
   }
   switch (spec.kind) {
     case FaultKind::kBrokerCrash:
-      // lint: cross-host-ok fault-plan control plane: the injector deliberately reaches into broker availability; crash events are serialized through the sim queue
       cluster_->CrashBroker(
           spec.broker %
           static_cast<int>(cluster_->broker_hosts().size()));
@@ -139,7 +110,6 @@ void FaultInjector::Repair(const FaultSpec& spec) {
                      << spec.name << "\" at t=" << sim_->Now();
   switch (spec.kind) {
     case FaultKind::kBrokerCrash:
-      // lint: cross-host-ok fault-plan control plane: restart times come from the deterministic plan, and the restart event is serialized through the sim queue
       cluster_->RestartBroker(
           spec.broker %
           static_cast<int>(cluster_->broker_hosts().size()));

@@ -46,15 +46,6 @@ class FaultInjector {
  private:
   void Inject(const FaultSpec& spec);
   void Repair(const FaultSpec& spec);
-  /// The simulated host a fault targets (empty when the fault has no
-  /// single host, e.g. serving/engine hooks or wildcard link rules).
-  /// Under the parallel DES, inject/repair events are scheduled as
-  /// *exclusive* events attributed to this host's partition: they still
-  /// run at a global synchronization point — fault actions mutate
-  /// cross-partition substrates like the broker cluster and the network
-  /// degradation tables — but the attribution keeps per-partition fault
-  /// accounting meaningful.
-  std::string OwnerHost(const FaultSpec& spec) const;
 
   sim::Simulation* sim_;
   sim::Network* network_;

@@ -4,27 +4,13 @@
 #include <cstdio>
 #include <fstream>
 
-#include "obs/defer.h"
-
 namespace crayfish::obs {
 
-void CounterMetric::Increment(double delta) {
-  if (DeferIfConfined([this, delta]() { value_ += delta; })) return;
-  value_ += delta;
-}
+void CounterMetric::Increment(double delta) { value_ += delta; }
 
-void GaugeMetric::Set(double v) {
-  if (DeferIfConfined([this, v]() { value_ = v; })) return;
-  value_ = v;
-}
+void GaugeMetric::Set(double v) { value_ = v; }
 
 void HistogramMetric::Observe(double v) {
-  if (DeferIfConfined([this, v]() {
-        stats_.Add(v);
-        histogram_.Add(v);
-      })) {
-    return;
-  }
   stats_.Add(v);
   histogram_.Add(v);
 }
@@ -45,7 +31,6 @@ std::string MetricsRegistry::Key(const std::string& name,
 
 CounterMetric* MetricsRegistry::Counter(const std::string& name,
                                         const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[Key(name, labels)];
   if (!slot) slot = std::make_unique<CounterMetric>();
   return slot.get();
@@ -53,7 +38,6 @@ CounterMetric* MetricsRegistry::Counter(const std::string& name,
 
 GaugeMetric* MetricsRegistry::Gauge(const std::string& name,
                                     const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[Key(name, labels)];
   if (!slot) slot = std::make_unique<GaugeMetric>();
   return slot.get();
@@ -61,7 +45,6 @@ GaugeMetric* MetricsRegistry::Gauge(const std::string& name,
 
 HistogramMetric* MetricsRegistry::Histogram(const std::string& name,
                                             const MetricLabels& labels) {
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[Key(name, labels)];
   if (!slot) slot = std::make_unique<HistogramMetric>();
   return slot.get();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace crayfish::obs {
 
@@ -22,12 +20,8 @@ namespace crayfish::obs {
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotone event count (records produced, bytes moved, applies run).
-class CRAYFISH_SHARED("obs-metrics") CounterMetric {
+class CounterMetric {
  public:
-  /// Deferred to the window barrier when called from a confined callback
-  /// (obs/defer.h), applied immediately otherwise — either way the update
-  /// order, and therefore the accumulated value, is thread-count
-  /// independent.
   void Increment(double delta = 1.0);
   double value() const { return value_; }
 
@@ -36,9 +30,8 @@ class CRAYFISH_SHARED("obs-metrics") CounterMetric {
 };
 
 /// Last-written value (current queue depth, configured parallelism).
-class CRAYFISH_SHARED("obs-metrics") GaugeMetric {
+class GaugeMetric {
  public:
-  /// Deferred to the window barrier from confined callbacks (obs/defer.h).
   void Set(double v);
   double value() const { return value_; }
 
@@ -50,11 +43,10 @@ class CRAYFISH_SHARED("obs-metrics") GaugeMetric {
 /// approximate percentiles via a geometric-bucket histogram. The default
 /// bucket range [1e-6, 1e6] covers everything Crayfish records (seconds,
 /// depths, bytes) at ~3% relative resolution.
-class CRAYFISH_SHARED("obs-metrics") HistogramMetric {
+class HistogramMetric {
  public:
   HistogramMetric() : histogram_(1e-6, 1e6, 512) {}
 
-  /// Deferred to the window barrier from confined callbacks (obs/defer.h).
   void Observe(double v);
 
   size_t count() const { return stats_.count(); }
@@ -78,7 +70,7 @@ class CRAYFISH_SHARED("obs-metrics") HistogramMetric {
 ///
 /// Like the trace recorder, the registry is passive: updates never touch
 /// the event queue or RNG, so metrics collection cannot perturb a run.
-class CRAYFISH_SHARED("obs-metrics") MetricsRegistry {
+class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -117,13 +109,6 @@ class CRAYFISH_SHARED("obs-metrics") MetricsRegistry {
   std::map<std::string, std::unique_ptr<CounterMetric>> counters_;
   std::map<std::string, std::unique_ptr<GaugeMetric>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-  /// Guards the three lookup-or-create maps only: metric *updates* are
-  /// barrier-deferred (obs/defer.h), but the first `Counter(...)` call for
-  /// a key can happen inside a parallel window on any partition, and the
-  /// map insertion must not race (R6 carve-out, like sim/mailbox). Metric
-  /// identities are key-sorted, so the stored set — and every snapshot —
-  /// is independent of arrival order.
-  mutable std::mutex mu_;
 };
 
 }  // namespace crayfish::obs

@@ -109,13 +109,6 @@ class TimelineSampler {
   /// window.
   void AdvanceTo(double t);
 
-  /// First window boundary strictly after `t`. The partitioned simulation
-  /// caps each parallel window's horizon here so a boundary is only ever
-  /// crossed at a global synchronization point: probes sample fully merged
-  /// barrier state, and gauge readings are identical at every thread
-  /// count.
-  double NextBoundaryAfter(double t) const;
-
   /// Closes the trailing partial window at the end of the run. After this
   /// the timeline is immutable.
   void Finalize(double end_s);
@@ -144,15 +137,6 @@ class TimelineSampler {
     /// Last reading, for kCumulative deltas.
     double last = 0.0;
   };
-
-  // Mutation bodies behind the public feeds. Each public feed is
-  // barrier-deferred when called from a confined callback (obs/defer.h)
-  // and applies inline otherwise; Apply* forms run only from global or
-  // barrier context — always before the window containing `t` closes,
-  // because parallel window horizons are capped at NextBoundaryAfter.
-  void ApplyObserveLatency(double t, double latency_s, uint64_t events);
-  void ApplyCount(const std::string& name, double t, double delta);
-  void ApplyAnnotate(double t, const std::string& label);
 
   /// Grows `windows_` through index `idx`, seeding new windows with the
   /// currently active fault set.

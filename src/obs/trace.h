@@ -110,15 +110,6 @@ class TraceRecorder {
   crayfish::Status WriteStageCsv(const std::string& path) const;
 
  private:
-  // Mutation bodies behind the public recorders. Each public mutator is
-  // barrier-deferred when called from a confined callback (obs/defer.h)
-  // and applies inline otherwise; the Apply* forms run the actual state
-  // change and are only ever executed from global/barrier context.
-  void ApplyStartBatch(uint64_t batch_id, double create_time_s);
-  void ApplyMark(uint64_t batch_id, Stage stage, double time_s);
-  void ApplyMarkProduce(uint64_t batch_id, double time_s);
-  void ApplyMarkAppend(uint64_t batch_id, double time_s);
-
   std::map<uint64_t, BatchTrace> batches_;
   std::vector<TrackSpan> track_spans_;
   std::vector<InstantEvent> instants_;

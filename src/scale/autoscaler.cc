@@ -64,12 +64,10 @@ Status Autoscaler::Arm(double until_s) {
   CRAYFISH_RETURN_IF_ERROR(config_.Validate());
   CRAYFISH_ASSIGN_OR_RETURN(policy_, CreatePolicy(config_));
   CRAYFISH_CHECK(sampler_ != nullptr) << "Autoscaler needs a sampler";
-  // Pre-schedule every tick up front (the FaultInjector::Arm pattern):
-  // exclusive events execute at global sync points with all partitions
-  // quiescent, and scheduling them from setup keeps re-scheduling out of
-  // exclusive context entirely.
+  // Pre-schedule every tick up front (the FaultInjector::Arm pattern), so
+  // tick times are fixed by the config, never by what a tick does.
   for (double t = config_.interval_s; t <= until_s; t += config_.interval_s) {
-    sim_->ScheduleExclusiveAt("", t, [this, t]() { Tick(t); });
+    sim_->ScheduleAt(t, [this, t]() { Tick(t); });
   }
   return Status::Ok();
 }
@@ -102,7 +100,6 @@ void Autoscaler::Tick(double now_s) {
     if (shrink_votes_ < config_.scale_in_hysteresis) return;
   }
   shrink_votes_ = 0;
-  // lint: cross-host-ok autoscaler control plane: ticks are exclusive events executed at global sync points, so the resize mutates serving state with every partition quiescent
   if (actuator_->Apply(now_s, target, d.reason) != 0) {
     last_resize_s_ = now_s;
   }

@@ -57,8 +57,7 @@ struct PolicyConfig {
   Status ApplyOverride(const std::string& key, const std::string& value);
 };
 
-/// One control-loop sample, taken at a global sync point so every value is
-/// the merged, deterministic cluster state.
+/// One control-loop sample of the cluster state at a tick.
 struct PolicyInput {
   double now_s = 0.0;
   double total_lag = 0.0;          ///< sum of per-partition consumer lag
@@ -77,7 +76,7 @@ struct PolicyDecision {
 
 /// A deterministic scaling policy. Implementations must be pure state
 /// machines over their inputs: no wall clock, no RNG stream (seeded hashing
-/// is fine), so decisions are identical at every `sim_threads` value.
+/// is fine), so decisions are reproducible under a fixed seed.
 class ScalingPolicy {
  public:
   virtual ~ScalingPolicy() = default;

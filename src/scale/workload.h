@@ -13,7 +13,7 @@ namespace crayfish::scale {
 /// Load-shape families for cluster-scale traffic generation (ROADMAP item
 /// 2). Every shape is a pure function of (spec, seed, t): no RNG stream is
 /// consumed, so two runs with the same config produce byte-identical
-/// producer pacing at any `sim_threads` value.
+/// producer pacing.
 enum class ShapeKind {
   kConstant,    ///< flat base_rate
   kDiurnal,     ///< sinusoid: base * (1 + amplitude * sin(2*pi*t/period))

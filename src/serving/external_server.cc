@@ -39,24 +39,13 @@ ExternalServingServer::ExternalServingServer(sim::Simulation* sim,
   model_versions_[options_.model.name] = 1;
 }
 
-void ExternalServingServer::ScheduleOnHost(sim::SimTime delay,
-                                           sim::InlineAction action) {
-  if (sim_->host_scheduling_active()) {
-    sim_->ScheduleOnHost(options_.host, delay, std::move(action));
-  } else {
-    sim_->Schedule(delay, std::move(action));
-  }
-}
-
 void ExternalServingServer::Start() {
   const double load =
       costs_.load_fixed_s +
       static_cast<double>(options_.model.weight_bytes) /
           costs_.load_bytes_per_s;
-  ScheduleOnHost(load, [this]() { ready_ = true; });
+  sim_->Schedule(load, [this]() { ready_ = true; });
   if (options_.autoscale) {
-    // Intentionally global: AutoscaleTick is a coordinator-plane control
-    // loop (see the CRAYFISH_GLOBAL_PLANE annotation).
     sim_->Schedule(options_.autoscale_interval_s,
                    [this]() { AutoscaleTick(); });
   }
@@ -69,7 +58,7 @@ void ExternalServingServer::DeployModel(const ModelProfile& profile) {
   const double load =
       costs_.load_fixed_s +
       static_cast<double>(profile.weight_bytes) / costs_.load_bytes_per_s;
-  ScheduleOnHost(load, [this, profile]() {
+  sim_->Schedule(load, [this, profile]() {
     models_[profile.name] = profile;
     ++model_versions_[profile.name];
   });
@@ -159,7 +148,7 @@ void ExternalServingServer::HandleArrival(PendingRequest request) {
   if (!ready_) {
     // The service is still loading the model: retry shortly (clients
     // observe this as slow first responses).
-    ScheduleOnHost(0.01, [this, request = std::move(request)]() mutable {
+    sim_->Schedule(0.01, [this, request = std::move(request)]() mutable {
       HandleArrival(std::move(request));
     });
     return;
@@ -200,7 +189,7 @@ void ExternalServingServer::EnqueueForBatching(PendingRequest request) {
   }
   if (!batch_timer_armed_) {
     batch_timer_armed_ = true;
-    ScheduleOnHost(options_.batch_timeout_s, [this]() {
+    sim_->Schedule(options_.batch_timeout_s, [this]() {
       batch_timer_armed_ = false;
       FlushBatch();
     });

@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "serving/calibration.h"
 #include "serving/model_profile.h"
 #include "sim/network.h"
@@ -159,16 +158,9 @@ class ExternalServingServer {
   void RunGroupOnWorkers(std::vector<PendingRequest> group);
   void Respond(const std::string& client_host, int batch_size,
                std::function<void()> on_response);
-  /// The autoscaler deliberately stays on the coordinator's global event
-  /// queue: it reads queue depth merged across the whole service and
-  /// resizes the worker pool, a decision the confinement planner treats
-  /// as a cross-host control action (DESIGN.md §4.7).
-  void AutoscaleTick()
-      CRAYFISH_GLOBAL_PLANE("autoscaler; global control decision");
-  /// Confines server-side work (model loads, readiness) to the serving
-  /// host when the experiment armed host scheduling; falls back to the
-  /// global queue so unit tests keep their exact event order.
-  void ScheduleOnHost(sim::SimTime delay, sim::InlineAction action);
+  /// Built-in autoscaler tick: reads the service's queue depth and resizes
+  /// the worker pool.
+  void AutoscaleTick();
   const ModelProfile& ResolveModel(const std::string& name) const;
   double ComputeSeconds(const ModelProfile& model, int batch_size);
   uint64_t RequestWireBytes(const ModelProfile& model,

@@ -7,9 +7,9 @@
 
 namespace crayfish::sim {
 
-uint64_t EventQueue::Push(SimTime time, int32_t host, InlineAction action) {
+uint64_t EventQueue::Push(SimTime time, InlineAction action) {
   const uint64_t seq = next_seq_++;
-  heap_.push_back(Event{time, seq, host, std::move(action)});
+  heap_.push_back(Event{time, seq, std::move(action)});
   // Sift up with a hole: most events are scheduled later than their parent
   // (DES schedules into the future), so the common case is zero moves.
   size_t i = heap_.size() - 1;

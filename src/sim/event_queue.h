@@ -15,14 +15,9 @@ using SimTime = double;
 
 /// A scheduled callback. Events with equal times fire in scheduling order
 /// (the sequence number breaks ties), which keeps simulations deterministic.
-/// `host` identifies the simulated host the event is confined to under the
-/// partitioned engine (-1 = global event, not owned by any host); the
-/// partition runtime uses it to route follow-up scheduling from inside the
-/// callback back to the owning host.
 struct Event {
   SimTime time = 0.0;
   uint64_t seq = 0;
-  int32_t host = -1;
   InlineAction action;
 };
 
@@ -40,12 +35,7 @@ class EventQueue {
   /// Enqueues an action at an absolute time. Returns the event's sequence
   /// number (usable for debugging; cancellation is handled by guards at the
   /// call sites, not by the queue).
-  uint64_t Push(SimTime time, InlineAction action) {
-    return Push(time, /*host=*/-1, std::move(action));
-  }
-
-  /// Enqueues an action owned by `host` (partitioned engine; -1 = global).
-  uint64_t Push(SimTime time, int32_t host, InlineAction action);
+  uint64_t Push(SimTime time, InlineAction action);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }

@@ -36,11 +36,11 @@ double Link::IdleTransferTime(uint64_t bytes) const {
          TransmitSeconds(spec_, degradation_, bytes);
 }
 
-SimTime Link::ReserveTransfer(uint64_t bytes) {
+void Link::Transfer(uint64_t bytes, InlineAction on_delivered) {
   if (degradation_.drop) {
     // Partitioned: the transfer vanishes. Senders find out via timeouts.
     ++dropped_transfers_;
-    return kNeverSimTime;
+    return;
   }
   const SimTime now = sim_->Now();
   const double tx_time = TransmitSeconds(spec_, degradation_, bytes);
@@ -48,13 +48,8 @@ SimTime Link::ReserveTransfer(uint64_t bytes) {
   tx_free_at_ = tx_start + tx_time;
   bytes_sent_ += bytes;
   ++transfers_;
-  return tx_free_at_ + PropagationSeconds(spec_, degradation_);
-}
-
-void Link::Transfer(uint64_t bytes, InlineAction on_delivered) {
-  const SimTime deliver_at = ReserveTransfer(bytes);
-  if (deliver_at == kNeverSimTime) return;
-  sim_->ScheduleAt(deliver_at, std::move(on_delivered));
+  sim_->ScheduleAt(tx_free_at_ + PropagationSeconds(spec_, degradation_),
+                   std::move(on_delivered));
 }
 
 Network::Network(Simulation* sim) : sim_(sim) {}
@@ -63,9 +58,6 @@ crayfish::Status Network::AddHost(Host host) {
   if (hosts_.count(host.name) > 0) {
     return crayfish::Status::AlreadyExists("host: " + host.name);
   }
-  // Registration order is the std::map insertion order observed by the
-  // caller's setup code, which is deterministic per config — so partition
-  // assignment (round-robin over registration order) is too.
   sim_->RegisterHost(host.name);
   hosts_[host.name] = std::move(host);
   return crayfish::Status::Ok();
@@ -130,14 +122,6 @@ void Network::SetDegradation(const std::string& from, const std::string& to,
   }
 }
 
-void Network::FreezeTopology() {
-  // One empty bucket per host: after this the outer map never changes
-  // shape, so lazy link creation inside a bucket is single-writer (the
-  // source host's thread) with no structural races.
-  for (const auto& [name, host] : hosts_) links_by_src_[name];
-  frozen_ = true;
-}
-
 double Network::MinLinkLatency() const {
   double floor = default_spec_.latency_s;
   for (const auto& [key, spec] : spec_overrides_) {
@@ -148,42 +132,14 @@ double Network::MinLinkLatency() const {
 
 void Network::Send(const std::string& from, const std::string& to,
                    uint64_t bytes, InlineAction on_delivered) {
-  Partition* p = CurrentPartition();
-  if (p == nullptr) {
-    // Global context: the serial engine's path, byte-for-byte unchanged.
-    CRAYFISH_CHECK(HasHost(from)) << "unknown host " << from;
-    CRAYFISH_CHECK(HasHost(to)) << "unknown host " << to;
-    if (from == to) {
-      // Loopback: delivered within the same event-loop instant.
-      sim_->Schedule(0.0, std::move(on_delivered));
-      return;
-    }
-    GetOrCreateLink(from, to)->Transfer(bytes, std::move(on_delivered));
-    return;
-  }
-  // Confined context: Send is the only legal cross-partition edge. The
-  // sender must be the executing host — a confined callback sending on
-  // another host's behalf would race on that host's link state — and
-  // FreezeTopology must have run so the per-source bucket exists and the
-  // outer link table is structurally read-only during windows. A source
-  // bucket (and every directed link in it) is touched only by its source
-  // host's thread, so lazy creation and ReserveTransfer need no locking.
-  const int from_id = sim_->HostId(from);
-  const int to_id = sim_->HostId(to);
-  CRAYFISH_CHECK_GE(from_id, 0) << "unknown host " << from;
-  CRAYFISH_CHECK_GE(to_id, 0) << "unknown host " << to;
-  CRAYFISH_CHECK_EQ(from_id, p->current_host)
-      << "confined Send must originate from the executing host";
+  CRAYFISH_CHECK(HasHost(from)) << "unknown host " << from;
+  CRAYFISH_CHECK(HasHost(to)) << "unknown host " << to;
   if (from == to) {
+    // Loopback: delivered within the same event-loop instant.
     sim_->Schedule(0.0, std::move(on_delivered));
     return;
   }
-  CRAYFISH_CHECK(frozen_)
-      << "no link bucket for " << from
-      << "; call Network::FreezeTopology() after setup for confined sends";
-  const SimTime deliver_at = GetOrCreateLink(from, to)->ReserveTransfer(bytes);
-  if (deliver_at == kNeverSimTime) return;
-  sim_->ScheduleAtOnHost(to_id, deliver_at, std::move(on_delivered));
+  GetOrCreateLink(from, to)->Transfer(bytes, std::move(on_delivered));
 }
 
 double Network::IdleTransferTime(const std::string& from,

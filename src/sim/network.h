@@ -11,7 +11,6 @@
 
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "sim/simulation.h"
 
 namespace crayfish::sim {
@@ -59,13 +58,6 @@ class Link {
   /// counted as dropped and `on_delivered` never fires.
   void Transfer(uint64_t bytes, InlineAction on_delivered);
 
-  /// Occupies the transmit path for `bytes` and returns the simulated
-  /// arrival instant without scheduling anything — the caller owns routing
-  /// the delivery (Network::Send routes it to the destination host's
-  /// partition under the parallel DES). Returns kNeverSimTime when the
-  /// link is dropping (the transfer is counted as dropped).
-  SimTime ReserveTransfer(uint64_t bytes);
-
   /// Time a transfer of `bytes` would take on an idle link.
   double IdleTransferTime(uint64_t bytes) const;
 
@@ -103,21 +95,13 @@ struct Host {
 /// The simulated cluster network: a set of hosts plus directed links
 /// between them. Links are created lazily with the default spec; tests and
 /// experiments can override per-pair specs (e.g. to model a degraded path).
-///
-/// CRAYFISH_SHARED: the network is the inter-host edge by definition; every
-/// partition sends through it. Under the parallel DES, Send() is the
-/// synchronization point between partitions (delivery events carry the
-/// lookahead bound), so cross-host use is the intended protocol.
-class CRAYFISH_SHARED("sim-network") Network {
+class Network {
  public:
   explicit Network(Simulation* sim);
 
-  /// Registers a host. Returns AlreadyExists if the name is taken.
-  /// Topology is frozen after setup: callers are component constructors
-  /// (which hold every channel) or setup code annotated for "setup".
-  /// Also registers the host with the Simulation, assigning it to a
-  /// partition under the parallel DES.
-  crayfish::Status AddHost(Host host) CRAYFISH_REQUIRES("setup");
+  /// Registers a host (with the Simulation too). Returns AlreadyExists if
+  /// the name is taken.
+  crayfish::Status AddHost(Host host);
   bool HasHost(const std::string& name) const;
   crayfish::StatusOr<Host> GetHost(const std::string& name) const;
 
@@ -145,32 +129,15 @@ class CRAYFISH_SHARED("sim-network") Network {
   /// Sends `bytes` from `from` to `to`; `on_delivered` fires at arrival.
   /// Transfers between a host and itself are instantaneous (loopback).
   /// CHECK-fails on unknown hosts (topology errors are programmer errors).
-  ///
-  /// From a confined callback (parallel DES), Send is the *only* legal
-  /// cross-partition edge: `from` must be the executing host, the link
-  /// must already exist (call FreezeTopology after setup), and the
-  /// delivery is routed to the destination host's partition carrying the
-  /// propagation latency as the conservative lookahead bound. From global
-  /// context the behavior is the serial engine's, unchanged.
   void Send(const std::string& from, const std::string& to, uint64_t bytes,
             InlineAction on_delivered);
 
-  /// Freezes the host set and pre-creates the per-source link buckets —
-  /// O(hosts), not O(hosts²). Links themselves stay lazy: each directed
-  /// link materializes on first use, in its source host's bucket, which
-  /// only the source host's thread touches under the parallel DES (the
-  /// confined Send path CHECKs from == executing host, and global events
-  /// run with every partition quiescent). Call once after all hosts are
-  /// added; required before any confined Send. A thousand-host topology
-  /// therefore costs a thousand empty buckets, not a million Link objects.
-  void FreezeTopology() CRAYFISH_REQUIRES("setup");
+  /// Benchmark-pinned forward: the perfbench/ benchmark is its only
+  /// caller. Does nothing (links are created lazily on first use).
+  void FreezeTopology() {}
 
   /// Smallest propagation latency across the default spec and every
-  /// per-pair override: the conservative lookahead bound the experiment
-  /// driver feeds to Simulation::SetLookahead. Degradations are assumed
-  /// not to shrink latency below this floor (multipliers < 1 on a
-  /// minimum-latency link would violate the conservative protocol, and
-  /// the kernel CHECKs that at the mailbox push).
+  /// per-pair override. The perfbench/ benchmark is its only caller.
   double MinLinkLatency() const;
 
   /// Idle-link transfer estimate between two hosts.
@@ -185,10 +152,8 @@ class CRAYFISH_SHARED("sim-network") Network {
   size_t live_link_count() const;
 
  private:
-  /// Outgoing links of one source host. After FreezeTopology the outer map
-  /// is structurally immutable and each bucket is mutated only by its
-  /// source host's thread (or in quiescent global context), so lazy link
-  /// creation is race-free without locks.
+  /// Outgoing links of one source host, created lazily on first use — a
+  /// thousand-host topology costs nothing until hosts actually talk.
   struct HostLinks {
     std::map<std::string, std::unique_ptr<Link>> out;
   };
@@ -197,16 +162,14 @@ class CRAYFISH_SHARED("sim-network") Network {
 
   Simulation* sim_;
   LinkSpec default_spec_;
-  bool frozen_ = false;
   /// Ordered (lint R3): topology walks schedule simulated transfers, so
   /// host/link enumeration order is part of the reproducible event order.
-  /// Guarded (lint R11): written only during single-threaded setup.
-  std::map<std::string, Host> hosts_ CRAYFISH_GUARDED_BY("setup");
+  std::map<std::string, Host> hosts_;
   std::map<std::pair<std::string, std::string>, LinkSpec> spec_overrides_;
   std::map<std::pair<std::string, std::string>, LinkDegradation> degradations_;
   /// Source host -> its outgoing-link bucket. Both levels are sorted maps,
   /// so every enumeration (degradation re-resolution, byte totals) is
-  /// deterministic regardless of which thread materialized a link first.
+  /// deterministic.
   std::map<std::string, HostLinks> links_by_src_;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
 
@@ -11,196 +9,39 @@ Simulation::Simulation(uint64_t seed) : seed_(seed), rng_(seed) {}
 
 void Simulation::Schedule(SimTime delay, InlineAction action) {
   if (delay < 0.0) delay = 0.0;
-  Partition* p = CurrentPartition();
-  if (p != nullptr) {
-    // A confined callback re-arming itself (poll loops, batch timers) stays
-    // on its own host: partition-local push, no synchronization.
-    p->queue.Push(p->now + delay, p->current_host, std::move(action));
-    return;
-  }
   queue_.Push(now_ + delay, std::move(action));
 }
 
 void Simulation::ScheduleAt(SimTime time, InlineAction action) {
-  Partition* p = CurrentPartition();
-  if (p != nullptr) {
-    if (time < p->now) time = p->now;
-    p->queue.Push(time, p->current_host, std::move(action));
-    return;
-  }
   if (time < now_) time = now_;
   queue_.Push(time, std::move(action));
 }
 
-void Simulation::SetThreads(int n) {
-  CRAYFISH_CHECK_GE(n, 1) << "sim_threads must be >= 1";
-  CRAYFISH_CHECK(runtime_ == nullptr)
-      << "SetThreads must be called once, before any host is registered";
-  runtime_ = std::make_unique<PartitionRuntime>(n);
-}
-
-void Simulation::SetLookahead(SimTime lookahead_s) {
-  CRAYFISH_CHECK_GE(lookahead_s, 0.0);
-  lookahead_ = lookahead_s;
-}
-
-void Simulation::EnsureRuntime() {
-  if (runtime_ == nullptr) runtime_ = std::make_unique<PartitionRuntime>(1);
-}
-
 int Simulation::RegisterHost(const std::string& name) {
-  auto it = host_ids_.find(name);
-  if (it != host_ids_.end()) return it->second;
-  CRAYFISH_CHECK(CurrentPartition() == nullptr)
-      << "RegisterHost is setup-phase only";
-  EnsureRuntime();
-  const int id = static_cast<int>(host_partition_.size());
-  host_ids_.emplace(name, id);
-  // Round-robin by registration order: deterministic for a given config,
-  // independent of names, and balanced for homogeneous host sets.
-  host_partition_.push_back(id % runtime_->partition_count());
-  host_send_seq_.push_back(0);
-  return id;
-}
-
-int Simulation::HostId(const std::string& name) const {
-  auto it = host_ids_.find(name);
-  return it == host_ids_.end() ? -1 : it->second;
-}
-
-int Simulation::PartitionOfHost(int host_id) const {
-  CRAYFISH_CHECK_GE(host_id, 0);
-  CRAYFISH_CHECK_LT(static_cast<size_t>(host_id), host_partition_.size());
-  return host_partition_[static_cast<size_t>(host_id)];
+  const int id = static_cast<int>(host_ids_.size());
+  return host_ids_.emplace(name, id).first->second;
 }
 
 void Simulation::ScheduleOnHost(int host_id, SimTime delay,
                                 InlineAction action) {
-  if (delay < 0.0) delay = 0.0;
-  ScheduleAtOnHost(host_id, Now() + delay, std::move(action));
-}
-
-void Simulation::ScheduleAtOnHost(int host_id, SimTime time,
-                                  InlineAction action) {
   CRAYFISH_CHECK_GE(host_id, 0) << "unregistered host";
-  CRAYFISH_CHECK_LT(static_cast<size_t>(host_id), host_partition_.size());
-  Partition* from = CurrentPartition();
-  if (from == nullptr) {
-    // Global or setup context: every partition is quiescent, so pushing
-    // straight into the owner's queue is race-free and needs no lookahead.
-    if (time < now_) time = now_;
-    runtime_->partition(host_partition_[static_cast<size_t>(host_id)])
-        .queue.Push(time, host_id, std::move(action));
-    return;
-  }
-  if (time < from->now) time = from->now;
-  if (host_id == from->current_host) {
-    from->queue.Push(time, host_id, std::move(action));
-    return;
-  }
-  PushRemote(from, host_id, time, std::move(action));
+  CRAYFISH_CHECK_LT(static_cast<size_t>(host_id), host_ids_.size());
+  Schedule(delay, std::move(action));
 }
 
 void Simulation::ScheduleOnHost(const std::string& host, SimTime delay,
                                 InlineAction action) {
-  ScheduleOnHost(HostId(host), delay, std::move(action));
+  CRAYFISH_CHECK(host_ids_.count(host) > 0) << "unregistered host " << host;
+  Schedule(delay, std::move(action));
 }
 
-void Simulation::ScheduleAtOnHost(const std::string& host, SimTime time,
-                                  InlineAction action) {
-  ScheduleAtOnHost(HostId(host), time, std::move(action));
-}
-
-void Simulation::PushRemote(Partition* from, int host_id, SimTime time,
-                            InlineAction action) {
-  // Cross-host confined delivery. The conservative protocol is only sound
-  // if no delivery can land inside the window that produced it; the link
-  // propagation latency floor (lookahead) is exactly that guarantee, so a
-  // violation here means a component scheduled onto a foreign host with
-  // less than the minimum network delay — a modeling bug, not a tuning
-  // knob. Note cross-host routing applies even when src and dst happen to
-  // share a partition: the merge key must not depend on the packing.
-  CRAYFISH_CHECK_GT(lookahead_, 0.0)
-      << "cross-host confined scheduling requires a positive lookahead "
-         "(SetLookahead with the minimum link latency)";
-  CRAYFISH_CHECK_GE(time, from->now + lookahead_)
-      << "cross-host delivery closer than the conservative lookahead bound";
-  const int32_t src = from->current_host;
-  CRAYFISH_CHECK_GE(src, 0);
-  // Only the thread executing `src`'s events reaches this line, so the
-  // per-host counter needs no synchronization.
-  const uint64_t seq = host_send_seq_[static_cast<size_t>(src)]++;
-  runtime_->partition(host_partition_[static_cast<size_t>(host_id)])
-      .inbox.Push(RemoteEvent{time, static_cast<int32_t>(host_id), src, seq,
-                              std::move(action)});
-}
-
-void Simulation::ScheduleExclusiveAt(const std::string& host, SimTime time,
-                                     InlineAction action) {
-  CRAYFISH_CHECK(CurrentPartition() == nullptr)
-      << "exclusive events are scheduled from global/setup context only";
-  EnsureRuntime();
-  int part = 0;
-  auto it = host_ids_.find(host);
-  if (it != host_ids_.end()) {
-    part = host_partition_[static_cast<size_t>(it->second)];
-  }
-  ++runtime_->partition(part).exclusive_scheduled;
-  ScheduleAt(time, std::move(action));
-}
-
-void Simulation::DrainDeferredObs() {
-  const int n = runtime_->partition_count();
-  size_t total = 0;
-  for (int i = 0; i < n; ++i) {
-    total += runtime_->partition(i).deferred.size();
-  }
-  if (total == 0) return;
-  deferred_scratch_.clear();
-  deferred_scratch_.reserve(total);
-  for (int i = 0; i < n; ++i) {
-    Partition& p = runtime_->partition(i);
-    for (DeferredOp& op : p.deferred) {
-      deferred_scratch_.push_back(std::move(op));
-    }
-    p.deferred.clear();
-  }
-  // Merge across partitions into the (time, host) order a serial run
-  // records naturally. Ties on both keys come from a single host, whose
-  // buffer order is already its deterministic execution order — the
-  // stable sort preserves it, so the replayed sequence is identical at
-  // every thread count.
-  std::stable_sort(deferred_scratch_.begin(), deferred_scratch_.end(),
-                   [](const DeferredOp& a, const DeferredOp& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.host < b.host;
-                   });
-  for (DeferredOp& op : deferred_scratch_) op.apply();
-  deferred_scratch_.clear();
-}
-
-uint64_t Simulation::exclusive_scheduled(int partition) const {
-  if (runtime_ == nullptr) return 0;
-  return runtime_->partition(partition).exclusive_scheduled;
-}
-
-Rng Simulation::ForkRng() {
-  CRAYFISH_CHECK(CurrentPartition() == nullptr)
-      << "ForkRng from a confined callback would order RNG draws by worker "
-         "interleaving; fork during setup or from a global event";
-  return rng_.Fork();
-}
-
-size_t Simulation::pending_events() const {
-  size_t n = queue_.size();
-  if (runtime_ != nullptr) n += runtime_->PendingEvents();
-  return n;
+void Simulation::SetLookahead(SimTime lookahead_s) {
+  CRAYFISH_CHECK_GE(lookahead_s, 0.0);
 }
 
 uint64_t Simulation::Run(SimTime until) {
   // Log lines emitted by events carry the simulated timestamp; restore the
-  // previous clock on every exit path. Confined callbacks read the global
-  // clock, which the coordinator does not advance while a window runs.
+  // previous clock on every exit path.
   LogSimClock prev_clock =
       SetLogSimClock([this]() { return static_cast<double>(now_); });
   struct ClockRestorer {
@@ -210,57 +51,21 @@ uint64_t Simulation::Run(SimTime until) {
 
   uint64_t executed = 0;
   stop_requested_ = false;
-  for (;;) {
-    if (stop_requested_) break;
-    const SimTime t_g = queue_.empty() ? kNeverSimTime : queue_.next_time();
-    const SimTime t_c =
-        runtime_ == nullptr ? kNeverSimTime : runtime_->NextConfinedTime();
-    if (t_g == kNeverSimTime && t_c == kNeverSimTime) break;  // idle
-    if (t_g > until && t_c > until) break;
-    if (t_g <= t_c) {
-      // Serial step: global events run with every partition quiescent, in
-      // exactly the total (time, seq) order the serial engine uses. Ties
-      // between a global and a confined event resolve to the global side
-      // so the window that follows sees its effects.
-      Event e = queue_.Pop();
-      CRAYFISH_CHECK_GE(e.time, now_);
-      now_ = e.time;
-      // Close timeline windows whose boundary this event crosses *before*
-      // executing it: probes observe the state as of the boundary, no
-      // sampler events are scheduled, and the event interleaving is
-      // untouched — enabling the timeline cannot perturb the run.
-      if (timeline_ != nullptr) timeline_->AdvanceTo(e.time);
-      if (e.action) e.action();
-      ++executed;
-      ++events_executed_;
-      continue;
-    }
-    // Conservative window: confined work strictly precedes the next global
-    // event. The horizon is the earliest of (a) that global event, whose
-    // cross-partition effects must not interleave with confined work,
-    // (b) the lookahead bound past the window's first event — no
-    // cross-host delivery produced inside the window can land before it —
-    // and (c) the next telemetry boundary, so timeline probes only ever
-    // observe barrier states. t_c < horizon always holds, so every window
-    // makes progress.
-    CRAYFISH_CHECK_GE(t_c, now_);
-    now_ = t_c;
-    if (timeline_ != nullptr) timeline_->AdvanceTo(t_c);
-    SimTime horizon = t_g;
-    if (lookahead_ > 0.0) horizon = std::min(horizon, t_c + lookahead_);
-    if (timeline_ != nullptr) {
-      horizon = std::min(horizon, timeline_->NextBoundaryAfter(t_c));
-    }
-    const uint64_t n = runtime_->RunWindow(horizon, until);
-    executed += n;
-    events_executed_ += n;
-    runtime_->DrainMailboxes();
-    // Replay buffered observability mutations before the next iteration's
-    // AdvanceTo so they land in their (still open) timeline window.
-    DrainDeferredObs();
-    // Local clocks never pass the horizon, which never passes t_g, so the
-    // global clock stays behind every pending event.
-    now_ = std::max(now_, runtime_->MaxLocalNow());
+  while (!stop_requested_ && !queue_.empty()) {
+    const SimTime t = queue_.next_time();
+    if (t > until) break;
+    CRAYFISH_CHECK_GE(t, now_);
+    now_ = t;
+    // Close timeline windows whose boundary this event crosses *before*
+    // it leaves the queue: probes observe the state as of the boundary,
+    // with the event still pending, no sampler events are scheduled, and
+    // the event interleaving is untouched — enabling the timeline cannot
+    // perturb the run.
+    if (timeline_ != nullptr) timeline_->AdvanceTo(t);
+    Event e = queue_.Pop();
+    if (e.action) e.action();
+    ++executed;
+    ++events_executed_;
   }
   if (!stop_requested_ && now_ < until &&
       until != std::numeric_limits<SimTime>::infinity()) {

@@ -2,17 +2,12 @@
 #define CRAYFISH_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "sim/event_queue.h"
-#include "sim/partition.h"
 
 namespace crayfish::obs {
 class TraceRecorder;
@@ -28,151 +23,67 @@ namespace crayfish::sim {
 /// producers, consumers) are driven by one Simulation instance. Only *time*
 /// is simulated; the data structures the components maintain (logs, queues,
 /// offsets, payloads) are real. Determinism: with a fixed seed, two runs
-/// produce identical event interleavings.
-///
-/// ## Partitioned (multi-core) mode
-///
-/// SetThreads(N) shards the simulation into N host partitions executed by N
-/// threads under a conservative time-window protocol (DESIGN.md §4.6).
-/// Events come in three classes:
-///
-///  - *Global* events — Schedule()/ScheduleAt() from setup or from another
-///    global event. Totally ordered by (time, seq) and executed with every
-///    partition quiescent; legacy components are global and keep exactly
-///    their serial semantics at any thread count.
-///  - *Confined* events — ScheduleOnHost()/ScheduleAtOnHost(). Owned by a
-///    registered host, executed on the host's partition inside time
-///    windows; callbacks may only touch that host's state (lint R10).
-///    Re-scheduling from inside a confined callback stays on the same host;
-///    scheduling onto *another* host routes through the owner partition's
-///    mailbox and must respect the conservative lookahead bound.
-///  - *Exclusive* events — ScheduleExclusiveAt(). Owned by a host's
-///    partition for attribution (the fault injector schedules into the
-///    partition that owns the fault's target) but executed at a global
-///    synchronization point, because fault actions mutate cross-partition
-///    substrates (broker cluster, network degradation tables).
-///
-/// Cross-host confined deliveries merge in (time, src_host, src_seq) order
-/// — a key independent of the host→partition packing — so a partitioned
-/// run is byte-for-byte identical to the serial (threads=1) run on every
-/// export. Confined callbacks must not call ForkRng(), Stop(), or the
-/// global Schedule()/ScheduleAt() of *another* simulation phase; the
-/// kernel CHECKs the RNG rule and reroutes scheduling to the owning host.
-///
-/// CRAYFISH_SHARED: the event queue is the one substrate every host
-/// partition touches (scheduling into another partition). Under the
-/// parallel DES, Schedule/ScheduleAt on a remote partition is a
-/// synchronized mailbox push with conservative lookahead, so cross-host
-/// use is part of the design, not a confinement leak.
-class CRAYFISH_SHARED("sim-event-queue") Simulation {
+/// produce identical event interleavings — one event queue totally ordered
+/// by (time, seq). Concurrency lives one level up: independent simulations
+/// run side by side under core::SweepRunner (`--jobs`), never inside one.
+class Simulation {
  public:
   explicit Simulation(uint64_t seed = 42);
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Current simulated time, seconds. Inside a confined callback this is
-  /// the executing partition's local clock (the event's timestamp); in
-  /// global context it is the global virtual time.
-  SimTime Now() const {
-    const Partition* p = CurrentPartition();
-    return p != nullptr ? p->now : now_;
-  }
+  /// Current simulated time, seconds.
+  SimTime Now() const { return now_; }
 
   /// Schedules `action` to run `delay` seconds from now. Negative delays
   /// clamp to zero (fire at the current instant, after pending same-time
   /// events). Accepts any void() callable; captures up to
-  /// InlineAction::kInlineBytes are stored without allocating. From inside
-  /// a confined callback the action stays confined to the executing host.
+  /// InlineAction::kInlineBytes are stored without allocating.
   void Schedule(SimTime delay, InlineAction action);
 
   /// Schedules `action` at an absolute time; times before Now() clamp to
-  /// Now(). Confined-context calls stay on the executing host.
+  /// Now().
   void ScheduleAt(SimTime time, InlineAction action);
 
-  // --- Partitioned mode (parallel DES; DESIGN.md §4.6) -------------------
+  /// Registers a simulated host name and returns its id; registering the
+  /// same name twice returns the existing id. Network::AddHost calls this,
+  /// so every network endpoint is a known host.
+  int RegisterHost(const std::string& name);
 
-  /// Shards the simulation into `n` host partitions run by `n` threads
-  /// (n - 1 workers plus the caller). Must be called before any host is
-  /// registered; n = 1 is the canonical serial engine — same protocol, no
-  /// worker threads. CHECK-fails if called twice or after RegisterHost.
-  void SetThreads(int n);
-  int threads() const {
-    return runtime_ == nullptr ? 1 : runtime_->partition_count();
-  }
+  // --- Benchmark-pinned forwards -----------------------------------------
+  // The perfbench/ benchmark is the only caller of these; no src/ component
+  // uses them. They keep its drivers compiling against the single-queue
+  // kernel until the benchmark drops them.
 
-  /// Conservative lookahead bound (seconds): the minimum simulated delay
-  /// of any cross-host confined delivery, normally the minimum network
-  /// link propagation latency. Windows extend `lookahead` past the
-  /// earliest confined event; a cross-host schedule closer than the bound
-  /// CHECK-fails. 0 (the default) disables cross-host confined messaging
-  /// but still allows per-host parallel windows bounded by global events.
-  void SetLookahead(SimTime lookahead_s);
-  SimTime lookahead() const { return lookahead_; }
-
-  /// True once the experiment driver has armed partitioned execution
-  /// (positive lookahead). Components use this to pick between the
-  /// host-confined scheduling path and the legacy global path, so unit
-  /// tests that never call SetLookahead keep byte-identical event orders.
-  bool host_scheduling_active() const { return lookahead_ > 0.0; }
-
-  /// Registers a simulated host and assigns it to a partition
-  /// (round-robin by registration order, which is deterministic). Returns
-  /// the host id used by the id-keyed scheduling overloads. Registering
-  /// the same name twice returns the existing id. Setup phase only.
-  int RegisterHost(const std::string& name) CRAYFISH_REQUIRES("setup");
-  /// Host id for a registered name (-1 if unknown).
-  int HostId(const std::string& name) const;
-  /// Owning partition of a host id (0 when not partitioned).
-  int PartitionOfHost(int host_id) const;
-  size_t registered_hosts() const { return host_partition_.size(); }
-
-  /// Schedules a confined event on `host_id`'s partition. From global
-  /// context this is a direct (serial) push; from a confined callback on
-  /// the same host it stays local; from a confined callback on another
-  /// host it becomes a mailbox push, and the delivery must be at least
-  /// `lookahead()` in the future (CHECK).
+  /// Benchmark-only: CHECKs that `host_id` is a registered host, then
+  /// forwards to Schedule().
   void ScheduleOnHost(int host_id, SimTime delay, InlineAction action);
-  void ScheduleAtOnHost(int host_id, SimTime time, InlineAction action);
+  /// Benchmark-only: CHECKs that `host` is registered, then forwards to
+  /// Schedule().
   void ScheduleOnHost(const std::string& host, SimTime delay,
                       InlineAction action);
-  void ScheduleAtOnHost(const std::string& host, SimTime time,
-                        InlineAction action);
-
-  /// Schedules an event owned by `host` for attribution but executed at a
-  /// global synchronization point (all partitions quiescent): the class
-  /// used by the fault injector, whose actions touch cross-partition
-  /// substrates. An empty or unknown host attributes to partition 0.
-  /// Global/setup context only.
-  void ScheduleExclusiveAt(const std::string& host, SimTime time,
-                           InlineAction action);
-  /// Exclusive events attributed to `partition` so far.
-  uint64_t exclusive_scheduled(int partition) const;
+  /// Benchmark-only: CHECKs `lookahead_s >= 0` and otherwise does nothing.
+  void SetLookahead(SimTime lookahead_s);
 
   /// Runs events until the queue empties or simulated time would exceed
-  /// `until`. Returns the number of events executed (global + confined).
+  /// `until`. Returns the number of events executed.
   uint64_t Run(SimTime until = std::numeric_limits<SimTime>::infinity());
 
   /// Runs until the queue is empty (no time horizon).
   uint64_t RunUntilIdle() { return Run(); }
 
-  /// Requests that Run() return after the current event completes. Global
-  /// context only (a confined callback must not stop the world mid-window).
+  /// Requests that Run() return after the current event completes.
   void Stop() { stop_requested_ = true; }
   bool stopped() const { return stop_requested_; }
 
   /// Per-experiment root RNG; components call ForkRng() to obtain private
-  /// deterministic streams during setup or from global events. CHECK-fails
-  /// from confined callbacks: a shared RNG stream across partitions would
-  /// make draws depend on worker interleaving.
-  Rng ForkRng();
+  /// deterministic streams.
+  Rng ForkRng() { return rng_.Fork(); }
   uint64_t seed() const { return seed_; }
 
   uint64_t events_executed() const { return events_executed_; }
-  /// Pending events across the global queue and every partition (queues
-  /// plus undrained mailboxes). Deterministic at window barriers, which is
-  /// when timeline probes sample it.
-  size_t pending_events() const;
+  size_t pending_events() const { return queue_.size(); }
 
   /// Attaches observability collectors (either may be nullptr). The
   /// Simulation does not own them; the experiment driver keeps them alive
@@ -187,46 +98,23 @@ class CRAYFISH_SHARED("sim-event-queue") Simulation {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Attaches the telemetry timeline (may be nullptr). The Run loop drives
-  /// the sampler's window clock passively — AdvanceTo before each global
-  /// event and at window barriers; parallel windows are additionally
-  /// capped at the next sampler boundary, so probes always observe a
-  /// deterministic barrier state and `events_executed()` is unchanged.
+  /// the sampler's window clock passively — AdvanceTo before each event
+  /// leaves the queue, so probes see that event as pending and
+  /// `events_executed()` is unchanged.
   void AttachTimeline(obs::TimelineSampler* timeline) {
     timeline_ = timeline;
   }
   obs::TimelineSampler* timeline() const { return timeline_; }
 
  private:
-  /// Lazily creates the 1-partition runtime for host registration when
-  /// SetThreads was never called.
-  void EnsureRuntime();
-  /// Cross-host confined push from a confined callback: mailbox delivery
-  /// carrying the conservative lookahead bound.
-  void PushRemote(Partition* from, int host_id, SimTime time,
-                  InlineAction action);
-  /// Replays the observability mutations partitions buffered during the
-  /// window just executed, merged across partitions in (time, host) order.
-  /// Coordinator only, at the window barrier (see Partition::deferred).
-  void DrainDeferredObs();
-
   uint64_t seed_;
   Rng rng_;
   SimTime now_ = 0.0;
   EventQueue queue_;
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;
-  SimTime lookahead_ = 0.0;
-  std::unique_ptr<PartitionRuntime> runtime_;
-  /// Host id -> owning partition; registration order is the id order.
-  std::vector<int> host_partition_;
-  /// Host id -> monotone cross-host send counter (the src_seq half of the
-  /// deterministic merge key). Only the owning partition's thread writes.
-  std::vector<uint64_t> host_send_seq_;
-  /// Barrier-side merge buffer for deferred observability mutations; the
-  /// capacity is reused across windows.
-  std::vector<DeferredOp> deferred_scratch_;
-  /// Ordered (lint R3): iteration is never timing-relevant, but the map
-  /// backs deterministic host-id assignment diagnostics.
+  /// Host name -> registration index. Ordered (lint R3) for deterministic
+  /// id assignment.
   std::map<std::string, int> host_ids_;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -164,11 +164,6 @@ class StreamEngine {
   /// Stage-mark hook: no-op when tracing is disabled.
   void TraceMark(uint64_t batch_id, obs::Stage stage);
 
-  /// Confines engine-internal work (poll loops, operator hand-offs,
-  /// trigger timers) to the SPS host when the experiment armed host
-  /// scheduling; falls back to the global queue so unit tests keep their
-  /// exact event order.
-  void ScheduleOnHost(sim::SimTime delay, sim::InlineAction action);
 
   /// Emits the scored record to the output topic through `producer`,
   /// preserving batch identity and the original create_time.

@@ -60,7 +60,7 @@ crayfish::Status FlinkEngine::Start() {
   CRAYFISH_RETURN_IF_ERROR(setup);
   // The job-start seed confines the whole task graph: every poll loop and
   // operator hand-off scheduled downstream inherits the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (stopped_) return;
     if (chained_) {
       for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
@@ -246,13 +246,13 @@ crayfish::Status FlinkEngine::StartUnchained() {
         [this, producer](broker::Record r, std::function<void()> done) {
           TraceMark(r.batch_id, obs::Stage::kQueueWait);
           const double penalty = BufferPenaltySeconds(r);
-          ScheduleOnHost(SinkSeconds(r),
+          sim_->Schedule(SinkSeconds(r),
                          [this, producer, penalty, r = std::move(r),
                           done = std::move(done)]() {
                            TraceMark(r.batch_id, obs::Stage::kSerialize);
                            // Flush-wait latency without occupying the
                            // sink task (see the chained path).
-                           ScheduleOnHost(penalty, [this, producer, r]() {
+                           sim_->Schedule(penalty, [this, producer, r]() {
                              if (!stopped_) {
                                TraceMark(r.batch_id,
                                          obs::Stage::kBufferFlushWait);
@@ -288,7 +288,7 @@ crayfish::Status FlinkEngine::StartUnchained() {
             if (!sink->Offer(r)) {
               // Rare: retry shortly rather than wiring a second credit
               // channel.
-              ScheduleOnHost(0.001, [sink, r, done]() mutable {
+              sim_->Schedule(0.001, [sink, r, done]() mutable {
                 while (!sink->Offer(r)) {
                   // Queue still full: drop into lossless retry.
                   break;
@@ -303,7 +303,7 @@ crayfish::Status FlinkEngine::StartUnchained() {
             const size_t depth = scoring_tasks_.empty()
                                      ? 0
                                      : scoring_tasks_.front()->queue_depth();
-            ScheduleOnHost(
+            sim_->Schedule(
                 costs_.scoring_wrapper_s +
                     scoring_.server->costs().client_overhead_s,
                 [this, r, depth, forward = std::move(forward)]() mutable {
@@ -321,7 +321,7 @@ crayfish::Status FlinkEngine::StartUnchained() {
                   ? 0
                   : scoring_tasks_.front()->queue_depth());
           const uint64_t batch_id = r.batch_id;
-          ScheduleOnHost(costs_.scoring_wrapper_s + apply,
+          sim_->Schedule(costs_.scoring_wrapper_s + apply,
                          [this, batch_id,
                           forward = std::move(forward)]() mutable {
                            TraceMark(batch_id, obs::Stage::kScore);

@@ -44,7 +44,7 @@ crayfish::Status KafkaStreamsEngine::Start() {
   }
   // The job-start seed confines every stream thread's poll loop (and all
   // work scheduled downstream) to the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (stopped_) return;
     for (int i = 0; i < static_cast<int>(threads_.size()); ++i) {
       PollLoop(i);

@@ -51,7 +51,7 @@ crayfish::Status SparkEngine::Start() {
   }
   // The query-start seed confines the trigger loop (and every micro-batch
   // scheduled downstream) to the SPS host.
-  ScheduleOnHost(load_delay, [this]() {
+  sim_->Schedule(load_delay, [this]() {
     if (!stopped_) TriggerLoop();
   });
   return crayfish::Status::Ok();

@@ -9,9 +9,11 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/experiment.h"
+#include "core/sweep.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -213,13 +215,12 @@ TEST(DeterminismTest, TimelineExportsReproduceByteForByte) {
   EXPECT_EQ(first->timeline->ToCsv(), second->timeline->ToCsv());
 }
 
-// --- Parallel DES (DESIGN.md §4.6): sim_threads is a wall-clock knob, ---
-// --- never a semantics knob.                                          ---
+// --- Host concurrency: SweepRunner's `--jobs` runs whole simulations ---
+// --- side by side; it must never change a byte of any of them.       ---
 
 /// The faulted workload with timeline + SLO evaluation enabled — the
-/// widest export surface a run has. Every byte of it must be independent
-/// of the partition count.
-ExperimentConfig PartitionedProbeConfig(uint64_t seed, int threads) {
+/// widest export surface a run has.
+ExperimentConfig FaultedProbeConfig(uint64_t seed) {
   ExperimentConfig cfg = FaultedConfig(seed);
   cfg.timeline_interval_s = 1.0;
   auto slo = obs::SloConfig::FromJsonText(
@@ -228,86 +229,12 @@ ExperimentConfig PartitionedProbeConfig(uint64_t seed, int threads) {
                    {"metric": "throughput_eps", "min": 1.0}]})");
   CRAYFISH_CHECK(slo.ok());
   cfg.slo = *slo;
-  cfg.sim_threads = threads;
   return cfg;
 }
 
-/// Fingerprint plus every timeline/SLO export: the full byte surface.
-std::string WideFingerprint(const ExperimentResult& r) {
-  std::string out = Fingerprint(r);
-  if (r.timeline != nullptr) {
-    out += r.timeline->ToJsonl();
-    out += r.timeline->ToCsv();
-  }
-  if (r.has_slo_report) out += r.slo_report.ToJson().Dump();
-  return out;
-}
-
-TEST(DeterminismTest, PartitionedFaultedRunMatchesSerialByteForByte) {
-  auto serial = RunExperiment(PartitionedProbeConfig(1234, 1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_fault_metrics);
-  ASSERT_TRUE(serial->has_slo_report);
-  ASSERT_NE(serial->timeline, nullptr);
-  const std::string want = WideFingerprint(*serial);
-  for (const int threads : {2, 4, 8}) {
-    auto parallel = RunExperiment(PartitionedProbeConfig(1234, threads));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    const std::string got = WideFingerprint(*parallel);
-    if (got != want) {
-      size_t at = 0;
-      while (at < want.size() && at < got.size() && want[at] == got[at]) {
-        ++at;
-      }
-      FAIL() << "sim_threads=" << threads
-             << " diverged from serial at byte " << at << " (sizes "
-             << want.size() << " vs " << got.size() << "); context: \""
-             << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
-             << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-    }
-  }
-}
-
-// After the confinement-planner migration (DESIGN.md §4.7) the hot path —
-// producer emit loop, broker request/response hops, engine task graphs,
-// serving-side work — runs host-confined whenever the experiment arms
-// host scheduling. Every engine routes differently through those paths,
-// so prove the serial-vs-partitioned equality separately per engine, on
-// the same faulted RQ1-style pipeline with the timeline + SLO surface.
-TEST(DeterminismTest, ConfinedPipelineMatchesSerialAcrossEngines) {
-  for (const char* engine : {"kafka-streams", "spark", "ray"}) {
-    ExperimentConfig serial_cfg = PartitionedProbeConfig(1234, 1);
-    serial_cfg.engine = engine;
-    auto serial = RunExperiment(serial_cfg);
-    ASSERT_TRUE(serial.ok()) << engine << ": " << serial.status().ToString();
-    ASSERT_GT(serial->events_scored, 0u) << engine;
-    const std::string want = WideFingerprint(*serial);
-    for (const int threads : {2, 8}) {
-      ExperimentConfig cfg = PartitionedProbeConfig(1234, threads);
-      cfg.engine = engine;
-      auto parallel = RunExperiment(cfg);
-      ASSERT_TRUE(parallel.ok())
-          << engine << ": " << parallel.status().ToString();
-      const std::string got = WideFingerprint(*parallel);
-      if (got != want) {
-        size_t at = 0;
-        while (at < want.size() && at < got.size() && want[at] == got[at]) {
-          ++at;
-        }
-        FAIL() << engine << " sim_threads=" << threads
-               << " diverged from serial at byte " << at << " (sizes "
-               << want.size() << " vs " << got.size() << "); context: \""
-               << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
-               << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-      }
-    }
-  }
-}
-
-/// An autoscaled flash-crowd run: the control loop executes as exclusive
-/// events at global sync points, so every resize decision — and therefore
-/// every downstream byte — must be independent of the partition count.
-ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
+/// An autoscaled flash-crowd run: the control loop's ticks, and every
+/// resize decision they make, feed every downstream byte.
+ExperimentConfig AutoscaledProbeConfig(uint64_t seed) {
   ExperimentConfig cfg;
   cfg.engine = "flink";
   // TorchServe: worker-count-bound capacity, so the control loop actually
@@ -320,7 +247,6 @@ ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
   cfg.drain_s = 8.0;
   cfg.seed = seed;
   cfg.timeline_interval_s = 1.0;
-  cfg.sim_threads = threads;
   cfg.workload.enabled = true;
   cfg.workload.shape.kind = scale::ShapeKind::kFlashCrowd;
   cfg.workload.shape.base_rate = 120.0;
@@ -343,40 +269,55 @@ ExperimentConfig AutoscaledProbeConfig(uint64_t seed, int threads) {
   return cfg;
 }
 
-TEST(DeterminismTest, AutoscaledRunMatchesSerialByteForByte) {
-  auto serial = RunExperiment(AutoscaledProbeConfig(4321, 1));
+/// Fingerprint plus every timeline/SLO export: the full byte surface.
+std::string WideFingerprint(const ExperimentResult& r) {
+  std::string out = Fingerprint(r);
+  if (r.timeline != nullptr) {
+    out += r.timeline->ToJsonl();
+    out += r.timeline->ToCsv();
+  }
+  if (r.has_slo_report) out += r.slo_report.ToJson().Dump();
+  return out;
+}
+
+TEST(DeterminismTest, JobsDoNotChangeFaultedOrAutoscaledExports) {
+  // Two copies of each config, so at --jobs=4 every run shares the process
+  // with concurrent simulations of the same and of the other config.
+  const std::vector<ExperimentConfig> batch = {
+      FaultedProbeConfig(1234), AutoscaledProbeConfig(4321),
+      FaultedProbeConfig(1234), AutoscaledProbeConfig(4321)};
+  auto serial = RunExperiments(batch, /*jobs=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_autoscale);
-  ASSERT_GE(serial->autoscale.ticks, 1u);
-  const std::string want = WideFingerprint(*serial);
-  for (const int threads : {2, 4, 8}) {
-    auto parallel = RunExperiment(AutoscaledProbeConfig(4321, threads));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    const std::string got = WideFingerprint(*parallel);
+  auto parallel = RunExperiments(batch, /*jobs=*/4);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ASSERT_EQ(serial->size(), batch.size());
+  ASSERT_EQ(parallel->size(), batch.size());
+
+  const ExperimentResult& faulted = (*serial)[0];
+  ASSERT_TRUE(faulted.has_fault_metrics);
+  ASSERT_TRUE(faulted.has_slo_report);
+  ASSERT_NE(faulted.timeline, nullptr);
+  const ExperimentResult& autoscaled = (*serial)[1];
+  ASSERT_TRUE(autoscaled.has_autoscale);
+  ASSERT_GE(autoscaled.autoscale.ticks, 1u);
+
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string want = WideFingerprint((*serial)[i]);
+    const std::string got = WideFingerprint((*parallel)[i]);
+    EXPECT_EQ(want, WideFingerprint((*serial)[i % 2]))
+        << "config " << i << ": repeat differs from its twin";
     if (got != want) {
       size_t at = 0;
       while (at < want.size() && at < got.size() && want[at] == got[at]) {
         ++at;
       }
-      FAIL() << "autoscaled sim_threads=" << threads
-             << " diverged from serial at byte " << at << " (sizes "
-             << want.size() << " vs " << got.size() << "); context: \""
+      FAIL() << "config " << i << " at --jobs=4 diverged from --jobs=1 at "
+             << "byte " << at << " (sizes " << want.size() << " vs "
+             << got.size() << "); context: \""
              << want.substr(at > 40 ? at - 40 : 0, 80) << "\" vs \""
              << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
     }
   }
-}
-
-TEST(DeterminismTest, PartitionedRunsStillDivergeAcrossSeeds) {
-  // Partitioning must not collapse seed sensitivity either — a bug that
-  // froze RNG-dependent paths would pass the equality test above while
-  // making every seed identical.
-  auto first = RunExperiment(PartitionedProbeConfig(1234, 2));
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = RunExperiment(PartitionedProbeConfig(99991, 2));
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_NE(WideFingerprint(*first), WideFingerprint(*second))
-      << "two seeds produced identical partitioned runs";
 }
 
 TEST(DeterminismTest, TracingDoesNotPerturbTheRun) {

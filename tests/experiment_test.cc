@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/experiment.h"
 
 namespace crayfish::core {
@@ -28,6 +31,40 @@ TEST(ExperimentTest, RejectsInvalidParameters) {
   EXPECT_FALSE(RunExperiment(cfg).ok());
   cfg = QuickConfig("storm", "onnx");
   EXPECT_FALSE(RunExperiment(cfg).ok());
+}
+
+TEST(ExperimentTest, RejectsNonFiniteOrNegativeSpans) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double duration_s;
+    double drain_s;
+    const char* key;
+  };
+  // Non-finite spans never end the run; negative ones end it before it
+  // starts. Each must fail closed and name the offending key.
+  for (const Case& c : {Case{nan, 4.0, "duration_s"},
+                        Case{inf, 4.0, "duration_s"},
+                        Case{-inf, 4.0, "duration_s"},
+                        Case{-1.0, 4.0, "duration_s"},
+                        Case{8.0, -1.0, "drain_s"},
+                        Case{8.0, nan, "drain_s"},
+                        Case{8.0, inf, "drain_s"}}) {
+    ExperimentConfig cfg = QuickConfig("flink", "onnx");
+    cfg.duration_s = c.duration_s;
+    cfg.drain_s = c.drain_s;
+    auto result = RunExperiment(cfg);
+    ASSERT_FALSE(result.ok()) << c.key << " " << c.duration_s << "/"
+                              << c.drain_s;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(c.key), std::string::npos)
+        << result.status().ToString();
+  }
+  // Zero-length spans stay valid: a set-up-only run.
+  ExperimentConfig zero = QuickConfig("flink", "onnx");
+  zero.duration_s = 0.0;
+  zero.drain_s = 0.0;
+  EXPECT_TRUE(RunExperiment(zero).ok());
 }
 
 TEST(ExperimentTest, SampleShapesFollowModel) {

@@ -1,10 +1,7 @@
-// Whole-program tests for crayfish_lint v3: the cross-TU call graph and
-// effect-summary fixpoint (callgraph.h), the include-graph edge cases the
-// module-DAG rule walks, and multi-file fixtures for the partition-safety
-// rules R10 (partition confinement), R11 (capability checking), and R12
-// (global mutable state). See DESIGN.md §4.5.
-
-#include "crayfish_lint/callgraph.h"
+// Whole-program tests for crayfish_lint: the include-graph edge cases the
+// module-DAG rule walks, and multi-file fixtures for R12 (global mutable
+// state), which runs only in the whole-program driver (LintProgram). See
+// DESIGN.md §4.5.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "crayfish_lint/confinement.h"
 #include "crayfish_lint/include_graph.h"
 #include "crayfish_lint/ir.h"
 #include "crayfish_lint/lint.h"
@@ -21,17 +17,18 @@
 namespace crayfish::lint {
 namespace {
 
+int CountRule(const std::vector<Finding>& fs, Rule r) {
+  int n = 0;
+  for (const Finding& f : fs) n += f.rule == r ? 1 : 0;
+  return n;
+}
+
+// The driver's whole-program context (R12 runs only there).
 std::vector<Finding> LintProg(
     const std::vector<std::pair<std::string, std::string>>& sources) {
   LintOptions options;
   options.fix_suggestions = true;
   return LintProgram(sources, options);
-}
-
-int CountRule(const std::vector<Finding>& fs, Rule r) {
-  int n = 0;
-  for (const Finding& f : fs) n += f.rule == r ? 1 : 0;
-  return n;
 }
 
 const Finding* FirstOf(const std::vector<Finding>& fs, Rule r) {
@@ -108,506 +105,6 @@ TEST(IncludeGraphTest, RealCycleIsStillReportedOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Call graph: cross-TU linking, effect fixpoint, annotation merging
-// ---------------------------------------------------------------------------
-
-TEST(CallGraphTest, LinksHeaderDeclToImplDefinitionAcrossFiles) {
-  const auto irs = Parse({
-      {"src/model/codec.h",
-       "class Codec {\n"
-       " public:\n"
-       "  void Encode();\n"
-       " private:\n"
-       "  int bytes_ = 0;\n"
-       "};\n"},
-      {"src/model/codec.cc",
-       "#include \"model/codec.h\"\n"
-       "void Codec::Encode() { bytes_ = bytes_ + 1; }\n"},
-      {"src/model/user.cc",
-       "#include \"model/codec.h\"\n"
-       "void RunCodec(Codec* c) { c->Encode(); }\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);
-  const FunctionNode* encode = wp.Find("Codec::Encode");
-  ASSERT_NE(encode, nullptr);
-  EXPECT_EQ(encode->file, "src/model/codec.cc");
-  EXPECT_EQ(encode->class_name, "Codec");
-  const FunctionNode* caller = wp.Find("RunCodec");
-  ASSERT_NE(caller, nullptr);
-  EXPECT_EQ(caller->calls.count("Codec::Encode"), 1u);
-  // The effect summary of the definition is visible under the merged key.
-  const auto it = wp.effects.find("Codec::Encode");
-  ASSERT_NE(it, wp.effects.end());
-  EXPECT_EQ(it->second.self_writes.count("bytes_"), 1u);
-}
-
-TEST(CallGraphTest, RequiresOnHeaderPrototypeMergesIntoDefinitionNode) {
-  const auto irs = Parse({
-      {"src/sim/net.h",
-       "class Net {\n"
-       " public:\n"
-       "  void Freeze() CRAYFISH_REQUIRES(\"setup\");\n"
-       "};\n"},
-      {"src/sim/net.cc",
-       "void Net::Freeze() { frozen_ = 1; }\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);
-  const FunctionNode* freeze = wp.Find("Net::Freeze");
-  ASSERT_NE(freeze, nullptr);
-  ASSERT_EQ(freeze->requires_channels.size(), 1u);
-  EXPECT_EQ(freeze->requires_channels[0], "setup");
-  EXPECT_EQ(wp.channels.count("setup"), 1u);
-}
-
-TEST(CallGraphTest, EffectFixpointPropagatesThroughCallChain) {
-  const auto irs = Parse({
-      {"src/sim/chain.cc",
-       "class Chain {\n"
-       " public:\n"
-       "  void Outer() { Inner(); }\n"
-       "  void Inner() { Leaf(); }\n"
-       "  void Leaf() { depth_ = depth_ + 1; }\n"
-       " private:\n"
-       "  int depth_ = 0;\n"
-       "};\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);
-  const auto it = wp.effects.find("Chain::Outer");
-  ASSERT_NE(it, wp.effects.end());
-  EXPECT_EQ(it->second.self_writes.count("depth_"), 1u);
-}
-
-TEST(CallGraphTest, EffectFixpointTerminatesOnMutualRecursion) {
-  const auto irs = Parse({
-      {"src/sim/rec.cc",
-       "class Rec {\n"
-       " public:\n"
-       "  void Ping() { count_ = count_ + 1; Pong(); }\n"
-       "  void Pong() { Ping(); }\n"
-       " private:\n"
-       "  int count_ = 0;\n"
-       "};\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);  // must not loop forever
-  const auto pong = wp.effects.find("Rec::Pong");
-  ASSERT_NE(pong, wp.effects.end());
-  EXPECT_EQ(pong->second.self_writes.count("count_"), 1u);
-}
-
-TEST(CallGraphTest, SharedAnnotationPopulatesTypeChannelMap) {
-  const auto irs = Parse({
-      {"src/obs/hist.h",
-       "class CRAYFISH_SHARED(\"obs-metrics\") Hist {\n"
-       " public:\n"
-       "  void Observe(double v);\n"
-       "};\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);
-  EXPECT_EQ(wp.SharedChannelOfType("Hist"), "obs-metrics");
-  EXPECT_EQ(wp.channels.count("obs-metrics"), 1u);
-}
-
-TEST(CallGraphTest, SchedulesPeelIntoCallbackNodes) {
-  const auto irs = Parse({
-      {"src/sim/host.cc",
-       "struct Sim { void Schedule(double d, int t); };\n"
-       "class Worker {\n"
-       " public:\n"
-       "  void Start() {\n"
-       "    sim_->Schedule(1.0, [this]() { ticks_ = ticks_ + 1; });\n"
-       "  }\n"
-       " private:\n"
-       "  Sim* sim_;\n"
-       "  int ticks_ = 0;\n"
-       "};\n"},
-  });
-  const WholeProgram wp = BuildWholeProgram(irs);
-  const FunctionNode* cb = wp.Find("Worker::Start::cb1");
-  ASSERT_NE(cb, nullptr);
-  EXPECT_TRUE(cb->is_callback);
-  EXPECT_EQ(cb->register_line, 5);
-  // Writing its own host's member through the this-capture is confined.
-  const auto it = wp.effects.find("Worker::Start::cb1");
-  ASSERT_NE(it, wp.effects.end());
-  EXPECT_EQ(it->second.self_writes.count("ticks_"), 1u);
-  EXPECT_TRUE(it->second.crossings.empty());
-}
-
-TEST(CallGraphTest, DumpsAreDeterministicAndWellFormed) {
-  const std::vector<std::pair<std::string, std::string>> sources = {
-      {"src/sim/b.cc", "class B { public: void N() { y_ = 1; } int y_; };\n"},
-      {"src/sim/a.cc", "class A { public: void M() { x_ = 1; } int x_; };\n"},
-  };
-  const auto irs1 = Parse(sources);
-  const auto irs2 = Parse(sources);
-  const WholeProgram wp1 = BuildWholeProgram(irs1);
-  const WholeProgram wp2 = BuildWholeProgram(irs2);
-  EXPECT_EQ(DumpCallGraph(wp1), DumpCallGraph(wp2));
-  EXPECT_EQ(DumpEffects(wp1), DumpEffects(wp2));
-  const std::string cg = DumpCallGraph(wp1);
-  EXPECT_NE(cg.find("\"functions\""), std::string::npos);
-  EXPECT_NE(cg.find("\"A::M\""), std::string::npos);
-  const std::string fx = DumpEffects(wp1);
-  EXPECT_NE(fx.find("\"self_writes\""), std::string::npos);
-  // Key order is sorted, so A::M precedes B::N whatever the input order.
-  EXPECT_LT(fx.find("\"A::M\""), fx.find("\"B::N\""));
-}
-
-// ---------------------------------------------------------------------------
-// R10: partition confinement
-// ---------------------------------------------------------------------------
-
-// Common preamble: a Sim type whose Schedule the parser peels callbacks from.
-constexpr char kSimDecl[] = "struct Sim { void Schedule(double d, int t); };\n";
-
-TEST(R10PartitionTest, FlagsWriteThroughRefCapture) {
-  const auto fs = LintProg({{"src/sim/fix.cc",
-                             std::string(kSimDecl) +
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    int total = 0;\n"
-                                 "    sim_->Schedule(1.0, [&total]() { total += 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  const Finding* f = FirstOf(fs, Rule::kPartitionConfinement);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->line, 6);
-  ASSERT_EQ(f->path.size(), 5u);
-  EXPECT_EQ(f->path[0], "ref-capture");
-  EXPECT_EQ(f->path[1], "total");
-}
-
-TEST(R10PartitionTest, FlagsWriteThroughMemberPointer) {
-  const auto fs = LintProg({{"src/sim/fix.cc",
-                             std::string(kSimDecl) +
-                                 "struct Buf { int count; };\n"
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    sim_->Schedule(1.0, [this]() { other_->count = 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "  Buf* other_;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  const Finding* f = FirstOf(fs, Rule::kPartitionConfinement);
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(f->path.size(), 5u);
-  EXPECT_EQ(f->path[0], "member-pointer");
-  EXPECT_EQ(f->path[1], "other_");
-}
-
-TEST(R10PartitionTest, SeededCrossHostCallReportsMachineReadablePath) {
-  // The acceptance fixture: a deliberate cross-host write routed through a
-  // method call into another translation unit. The finding must carry the
-  // full access path {kind, via, type, field, origin}.
-  const auto fs = LintProg({
-      {"src/sim/peer.cc",
-       "class Peer {\n"
-       " public:\n"
-       "  void Bump();\n"
-       " private:\n"
-       "  int hits_ = 0;\n"
-       "};\n"
-       "void Peer::Bump() { hits_ += 1; }\n"},
-      {"src/sim/driver.cc",
-       std::string(kSimDecl) +
-           "class Peer;\n"
-           "class Driver {\n"
-           " public:\n"
-           "  void Go() {\n"
-           "    sim_->Schedule(2.0, [this]() { peer_->Bump(); });\n"
-           "  }\n"
-           " private:\n"
-           "  Sim* sim_;\n"
-           "  Peer* peer_;\n"
-           "};\n"},
-  });
-  ASSERT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  const Finding* f = FirstOf(fs, Rule::kPartitionConfinement);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->file, "src/sim/driver.cc");
-  EXPECT_EQ(f->line, 6);
-  ASSERT_EQ(f->path.size(), 5u);
-  EXPECT_EQ(f->path[0], "remote-call");
-  EXPECT_EQ(f->path[1], "peer_");
-  EXPECT_EQ(f->path[2], "Peer");
-  EXPECT_EQ(f->path[3], "Bump");
-  EXPECT_EQ(f->path[4], "src/sim/driver.cc:6");
-}
-
-TEST(R10PartitionTest, FlagsGlobalWriteFromCallback) {
-  const auto fs = LintProg({{"tools/fix.cc",  // out of R12 scope on purpose
-                             std::string(kSimDecl) +
-                                 "int g_events = 0;\n"
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    sim_->Schedule(1.0, []() { g_events += 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  const Finding* f = FirstOf(fs, Rule::kPartitionConfinement);
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(f->path.size(), 5u);
-  EXPECT_EQ(f->path[0], "global");
-  EXPECT_EQ(f->path[1], "g_events");
-}
-
-TEST(R10PartitionTest, HostMemberWriteThroughThisIsConfined) {
-  const auto fs = LintProg({{"src/sim/fix.cc",
-                             std::string(kSimDecl) +
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    sim_->Schedule(1.0, [this]() { ticks_ = ticks_ + 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "  int ticks_ = 0;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 0);
-}
-
-TEST(R10PartitionTest, ValueCaptureWriteIsConfined) {
-  const auto fs = LintProg({{"src/sim/fix.cc",
-                             std::string(kSimDecl) +
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    int budget = 3;\n"
-                                 "    sim_->Schedule(1.0, [budget]() mutable { budget -= 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 0);
-}
-
-TEST(R10PartitionTest, SharedTypeTargetIsExempt) {
-  const auto fs = LintProg({
-      {"src/obs/hist.h",
-       "class CRAYFISH_SHARED(\"obs-metrics\") Hist {\n"
-       " public:\n"
-       "  void Observe(double v) { n_ = n_ + 1; }\n"
-       " private:\n"
-       "  int n_ = 0;\n"
-       "};\n"},
-      {"src/sim/fix.cc",
-       std::string(kSimDecl) +
-           "class Worker {\n"
-           " public:\n"
-           "  void Start() {\n"
-           "    sim_->Schedule(1.0, [this]() { hist_->Observe(2.0); });\n"
-           "  }\n"
-           " private:\n"
-           "  Sim* sim_;\n"
-           "  Hist* hist_;\n"
-           "};\n"},
-  });
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 0);
-}
-
-TEST(R10PartitionTest, MailboxPushWithoutSharedAnnotationIsFlagged) {
-  // The parallel engine's cross-partition edge: a confined callback pushing
-  // into another partition's inbox. Without the CRAYFISH_SHARED contract the
-  // write is an unsynchronized cross-host mutation and R10 must flag it.
-  const auto fs = LintProg({
-      {"src/sim/box.h",
-       "class Inbox {\n"
-       " public:\n"
-       "  void Push(double t) { pending_ = pending_ + 1; }\n"
-       " private:\n"
-       "  int pending_ = 0;\n"
-       "};\n"},
-      {"src/sim/fix.cc",
-       std::string(kSimDecl) +
-           "class Worker {\n"
-           " public:\n"
-           "  void Start() {\n"
-           "    sim_->Schedule(1.0, [this]() { inbox_->Push(2.0); });\n"
-           "  }\n"
-           " private:\n"
-           "  Sim* sim_;\n"
-           "  Inbox* inbox_;\n"
-           "};\n"},
-  });
-  ASSERT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  const Finding* f = FirstOf(fs, Rule::kPartitionConfinement);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->file, "src/sim/fix.cc");
-  ASSERT_EQ(f->path.size(), 5u);
-  EXPECT_EQ(f->path[0], "remote-call");
-  EXPECT_EQ(f->path[1], "inbox_");
-  EXPECT_EQ(f->path[2], "Inbox");
-  EXPECT_EQ(f->path[3], "Push");
-}
-
-TEST(R10PartitionTest, MailboxPushUnderSharedChannelIsExempt) {
-  // Same shape as the real src/sim/mailbox.h: the type carries
-  // CRAYFISH_SHARED("sim-mailbox"), declaring that its internal mutex makes
-  // the cross-partition push safe, so R10 stays silent.
-  const auto fs = LintProg({
-      {"src/sim/box.h",
-       "class CRAYFISH_SHARED(\"sim-mailbox\") Inbox {\n"
-       " public:\n"
-       "  void Push(double t) { pending_ = pending_ + 1; }\n"
-       " private:\n"
-       "  int pending_ = 0;\n"
-       "};\n"},
-      {"src/sim/fix.cc",
-       std::string(kSimDecl) +
-           "class Worker {\n"
-           " public:\n"
-           "  void Start() {\n"
-           "    sim_->Schedule(1.0, [this]() { inbox_->Push(2.0); });\n"
-           "  }\n"
-           " private:\n"
-           "  Sim* sim_;\n"
-           "  Inbox* inbox_;\n"
-           "};\n"},
-  });
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 0);
-}
-
-TEST(R10PartitionTest, SuppressionSilencesTheFinding) {
-  const auto fs = LintProg({{"src/sim/fix.cc",
-                             std::string(kSimDecl) +
-                                 "class Worker {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    int total = 0;\n"
-                                 "    // lint: cross-host-ok single-threaded test driver\n"
-                                 "    sim_->Schedule(1.0, [&total]() { total += 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kPartitionConfinement), 0);
-  EXPECT_EQ(CountRule(fs, Rule::kSuppression), 0);
-}
-
-// ---------------------------------------------------------------------------
-// R11: capability checking
-// ---------------------------------------------------------------------------
-
-TEST(R11CapabilityTest, FlagsGuardedWriteFromExposedEntryPoint) {
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Config {\n"
-                             " public:\n"
-                             "  void SetLimit(int v) { limit_ = v; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 1);
-  const Finding* f = FirstOf(fs, Rule::kCapability);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->line, 3);
-  EXPECT_NE(f->message.find("limit_"), std::string::npos);
-  EXPECT_NE(f->message.find("setup"), std::string::npos);
-}
-
-TEST(R11CapabilityTest, FlagsRequiresCalleeFromExposedCaller) {
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "void Freeze() CRAYFISH_REQUIRES(\"setup\") {}\n"
-                             "void Tick() { Freeze(); }\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 1);
-  const Finding* f = FirstOf(fs, Rule::kCapability);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->line, 2);
-  EXPECT_NE(f->message.find("Freeze"), std::string::npos);
-}
-
-TEST(R11CapabilityTest, FlagsGuardedWriteThroughTypedReceiverCrossTU) {
-  const auto fs = LintProg({
-      {"src/sim/cfg.h",
-       "class Config {\n"
-       " public:\n"
-       "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-       "};\n"},
-      {"src/sim/user.cc",
-       "void Tweak(Config* cfg) { cfg->limit_ = 5; }\n"},
-  });
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 1);
-  const Finding* f = FirstOf(fs, Rule::kCapability);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->file, "src/sim/user.cc");
-}
-
-TEST(R11CapabilityTest, WriterWithRequiresIsClean) {
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Config {\n"
-                             " public:\n"
-                             "  void SetLimit(int v) CRAYFISH_REQUIRES(\"setup\") { limit_ = v; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 0);
-}
-
-TEST(R11CapabilityTest, ConstructorHoldsEveryChannel) {
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Config {\n"
-                             " public:\n"
-                             "  Config() { limit_ = 8; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 0);
-}
-
-TEST(R11CapabilityTest, WriterReachedOnlyThroughHoldingRootIsClean) {
-  // The only entry point to Apply() REQUIRES the channel, so every path to
-  // the guarded write passes through a holder.
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Tuner {\n"
-                             " public:\n"
-                             "  void Configure() CRAYFISH_REQUIRES(\"setup\") { Apply(); }\n"
-                             "  void Apply() { limit_ = 1; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 0);
-}
-
-TEST(R11CapabilityTest, ExposedRootLeaksThroughCallChainToWriter) {
-  // Same shape as above, minus the REQUIRES on the root: the exposure now
-  // propagates down the chain and the write is flagged.
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Tuner {\n"
-                             " public:\n"
-                             "  void Configure() { Apply(); }\n"
-                             "  void Apply() { limit_ = 1; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 1);
-  const Finding* f = FirstOf(fs, Rule::kCapability);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->line, 4);
-}
-
-TEST(R11CapabilityTest, SuppressionSilencesTheFinding) {
-  const auto fs = LintProg({{"src/sim/cfg.cc",
-                             "class Config {\n"
-                             " public:\n"
-                             "  // lint: capability-ok exercised single-threaded in this fixture\n"
-                             "  void SetLimit(int v) { limit_ = v; }\n"
-                             " private:\n"
-                             "  int limit_ CRAYFISH_GUARDED_BY(\"setup\");\n"
-                             "};\n"}});
-  EXPECT_EQ(CountRule(fs, Rule::kCapability), 0);
-  EXPECT_EQ(CountRule(fs, Rule::kSuppression), 0);
-}
-
-// ---------------------------------------------------------------------------
 // R12: global mutable state in sim-reachable code
 // ---------------------------------------------------------------------------
 
@@ -660,372 +157,12 @@ TEST(R12GlobalStateTest, StaticConstLocalIsClean) {
   EXPECT_EQ(CountRule(fs, Rule::kGlobalState), 0);
 }
 
-TEST(R12GlobalStateTest, SharedTypeGlobalResolvedThroughWholeProgram) {
-  // The global's type is CRAYFISH_SHARED in *another* file, so only the
-  // whole-program shared-type map can clear it.
-  const auto fs = LintProg({
-      {"src/obs/hist.h",
-       "class CRAYFISH_SHARED(\"obs-metrics\") Hist {\n"
-       " public:\n"
-       "  void Observe(double v);\n"
-       "};\n"},
-      {"src/sim/g.cc", "Hist g_latency;\n"},
-  });
-  EXPECT_EQ(CountRule(fs, Rule::kGlobalState), 0);
-}
-
 TEST(R12GlobalStateTest, SuppressionSilencesTheFinding) {
   const auto fs = LintProg({{"src/sim/g.cc",
                              "// lint: global-state-ok set once before the sim starts\n"
                              "int g_counter = 0;\n"}});
   EXPECT_EQ(CountRule(fs, Rule::kGlobalState), 0);
   EXPECT_EQ(CountRule(fs, Rule::kSuppression), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Confinement planner (v4 escape analysis) + R13
-// ---------------------------------------------------------------------------
-
-// Fixture scheduling surface: a Sim with the full Schedule family taking the
-// move-only event-action type, exactly as the runtime spells it.
-constexpr char kPlannerDecl[] =
-    "struct InlineAction {};\n"
-    "struct Sim {\n"
-    "  void Schedule(double d, InlineAction a);\n"
-    "  void ScheduleAt(double t, InlineAction a);\n"
-    "  void ScheduleOnHost(int h, double d, InlineAction a);\n"
-    "};\n";
-
-ConfinementReport ReportOf(
-    const std::vector<std::pair<std::string, std::string>>& sources) {
-  const auto irs = Parse(sources);
-  const WholeProgram wp = BuildWholeProgram(irs);
-  return BuildConfinementReport(wp);
-}
-
-const ConfinementSite* SiteAt(const ConfinementReport& rep,
-                              const std::string& file, int line) {
-  for (const ConfinementSite& s : rep.sites) {
-    if (s.file == file && s.line == line) return &s;
-  }
-  return nullptr;
-}
-
-TEST(ConfinementPlannerTest, ThisCaptureWritingOwnStateIsConfinable) {
-  // The canonical migration candidate: a lambda capturing `this` through
-  // InlineAction, touching only the component's own members, in a class
-  // with a host anchor. Everything it needs lives on one host.
-  const auto rep = ReportOf({{"src/sps/fix.cc",
-                              std::string(kPlannerDecl) +
-                                  "class Pump {\n"
-                                  " public:\n"
-                                  "  void Start() {\n"
-                                  "    sim_->Schedule(0.5, [this]() { emitted_ += 1; });\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Sim* sim_;\n"
-                                  "  int host_id_ = 0;\n"
-                                  "  int emitted_ = 0;\n"
-                                  "};\n"}});
-  const ConfinementSite* s = SiteAt(rep, "src/sps/fix.cc", 10);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->verdict, ConfinementVerdict::kConfinable);
-  EXPECT_FALSE(s->inherited);
-  EXPECT_TRUE(s->obligations.empty());
-  EXPECT_EQ(s->component, "Pump");
-}
-
-TEST(ConfinementPlannerTest, SharedPtrConstPayloadReadStaysConfinable) {
-  // Reading a shared_ptr<const Bytes> payload is not an escape: the pointee
-  // is immutable by type (the R9 ownership model), so a confined callback
-  // inspecting it shares nothing another partition could see change.
-  const auto rep = ReportOf(
-      {{"src/sps/fix.cc",
-        std::string(kPlannerDecl) +
-            "struct Bytes { int size() const; };\n"
-            "class Sink {\n"
-            " public:\n"
-            "  void Start() {\n"
-            "    sim_->Schedule(0.5, [this]() {\n"
-            "      if (payload_->size() > 0) bytes_seen_ += 1;\n"
-            "    });\n"
-            "  }\n"
-            " private:\n"
-            "  Sim* sim_;\n"
-            "  std::string host_;\n"
-            "  std::shared_ptr<const Bytes> payload_;\n"
-            "  int bytes_seen_ = 0;\n"
-            "};\n"}});
-  const ConfinementSite* s = SiteAt(rep, "src/sps/fix.cc", 11);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->verdict, ConfinementVerdict::kConfinable)
-      << "const shared payload read misclassified: " << s->reason;
-  EXPECT_TRUE(s->obligations.empty());
-}
-
-TEST(ConfinementPlannerTest, ConfinedSeedMakesDownstreamSitesInherit) {
-  // A seed registered via ScheduleOnHost puts its callback chain on the
-  // confined plane; the plain Schedule inside Step() then *inherits* the
-  // executing host — correct as spelled, and explicitly not an R13 target.
-  const auto rep = ReportOf({{"src/sps/fix.cc",
-                              std::string(kPlannerDecl) +
-                                  "class Pump {\n"
-                                  " public:\n"
-                                  "  void Start() {\n"
-                                  "    sim_->ScheduleOnHost(2, 0.0, [this]() { Step(); });\n"
-                                  "  }\n"
-                                  "  void Step() {\n"
-                                  "    ticks_ += 1;\n"
-                                  "    sim_->Schedule(0.1, [this]() { Step(); });\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Sim* sim_;\n"
-                                  "  int host_id_ = 2;\n"
-                                  "  int ticks_ = 0;\n"
-                                  "};\n"}});
-  const ConfinementSite* seed = SiteAt(rep, "src/sps/fix.cc", 10);
-  ASSERT_NE(seed, nullptr);
-  EXPECT_EQ(seed->verdict, ConfinementVerdict::kConfined);
-  const ConfinementSite* inner = SiteAt(rep, "src/sps/fix.cc", 14);
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->verdict, ConfinementVerdict::kConfinable);
-  EXPECT_TRUE(inner->inherited);
-}
-
-TEST(ConfinementPlannerTest, MemberPointerWriteBecomesSplitObligation) {
-  const auto rep = ReportOf({{"src/sps/fix.cc",
-                              std::string(kPlannerDecl) +
-                                  "struct Buf { int count; };\n"
-                                  "class Fan {\n"
-                                  " public:\n"
-                                  "  void Start() {\n"
-                                  "    sim_->Schedule(1.0, [this]() { other_->count = 1; });\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Sim* sim_;\n"
-                                  "  std::string host_;\n"
-                                  "  Buf* other_;\n"
-                                  "};\n"}});
-  const ConfinementSite* s = SiteAt(rep, "src/sps/fix.cc", 11);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->verdict, ConfinementVerdict::kConfinableAfterSplit);
-  ASSERT_EQ(s->obligations.size(), 1u);
-  EXPECT_EQ(s->obligations[0].kind, "member-pointer");
-  EXPECT_EQ(s->obligations[0].via, "other_");
-  EXPECT_EQ(s->obligations[0].field, "count");
-}
-
-TEST(ConfinementPlannerTest, RemoteCallAndRefCaptureAreObligationsToo) {
-  const auto rep = ReportOf(
-      {{"src/sps/peer.cc",
-        "class Peer {\n"
-        " public:\n"
-        "  void Bump();\n"
-        " private:\n"
-        "  int hits_ = 0;\n"
-        "};\n"
-        "void Peer::Bump() { hits_ += 1; }\n"},
-       {"src/sps/fix.cc",
-        std::string(kPlannerDecl) +
-            "class Peer;\n"
-            "class Fan {\n"
-            " public:\n"
-            "  void Go() {\n"
-            "    sim_->Schedule(2.0, [this]() { peer_->Bump(); });\n"
-            "  }\n"
-            "  void Tally() {\n"
-            "    int total = 0;\n"
-            "    sim_->Schedule(3.0, [&total]() { total += 1; });\n"
-            "  }\n"
-            " private:\n"
-            "  Sim* sim_;\n"
-            "  std::string host_;\n"
-            "  Peer* peer_;\n"
-            "};\n"}});
-  const ConfinementSite* call = SiteAt(rep, "src/sps/fix.cc", 11);
-  ASSERT_NE(call, nullptr);
-  EXPECT_EQ(call->verdict, ConfinementVerdict::kConfinableAfterSplit);
-  ASSERT_EQ(call->obligations.size(), 1u);
-  EXPECT_EQ(call->obligations[0].kind, "remote-call");
-  EXPECT_EQ(call->obligations[0].type, "Peer");
-  const ConfinementSite* ref = SiteAt(rep, "src/sps/fix.cc", 15);
-  ASSERT_NE(ref, nullptr);
-  EXPECT_EQ(ref->verdict, ConfinementVerdict::kConfinableAfterSplit);
-  ASSERT_EQ(ref->obligations.size(), 1u);
-  EXPECT_EQ(ref->obligations[0].kind, "ref-capture");
-  EXPECT_EQ(ref->obligations[0].via, "total");
-}
-
-TEST(ConfinementPlannerTest, CoordinatorOffsetStoreClassifiesGlobal) {
-  // A callback that reaches a CRAYFISH_GLOBAL_PLANE function — the broker
-  // coordinator's offset store — must classify global no matter how local
-  // the rest of its state is, and the reason must name the witness.
-  const auto rep = ReportOf(
-      {{"src/broker/fix.cc",
-        std::string(kPlannerDecl) +
-            "class Coordinator {\n"
-            " public:\n"
-            "  void CommitOffsets() CRAYFISH_GLOBAL_PLANE(\"offset store\") {\n"
-            "    committed_ += 1;\n"
-            "  }\n"
-            " private:\n"
-            "  int committed_ = 0;\n"
-            "};\n"
-            "class Consumer {\n"
-            " public:\n"
-            "  void Poll() {\n"
-            "    sim_->Schedule(0.5, [this]() { coord_->CommitOffsets(); });\n"
-            "  }\n"
-            " private:\n"
-            "  Sim* sim_;\n"
-            "  std::string client_host_;\n"
-            "  Coordinator* coord_;\n"
-            "};\n"}});
-  const ConfinementSite* s = SiteAt(rep, "src/broker/fix.cc", 18);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->verdict, ConfinementVerdict::kGlobal);
-  EXPECT_NE(s->reason.find("Coordinator::CommitOffsets"), std::string::npos)
-      << s->reason;
-}
-
-TEST(ConfinementPlannerTest, NoHostAnchorAndOpaqueActionClassifyGlobal) {
-  const auto rep = ReportOf({{"src/sps/fix.cc",
-                              std::string(kPlannerDecl) +
-                                  "class Anchorless {\n"
-                                  " public:\n"
-                                  "  void Start() {\n"
-                                  "    sim_->Schedule(0.5, [this]() { n_ += 1; });\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Sim* sim_;\n"
-                                  "  int n_ = 0;\n"
-                                  "};\n"
-                                  "class Opaque {\n"
-                                  " public:\n"
-                                  "  void Start() {\n"
-                                  "    sim_->Schedule(0.5, action_);\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Sim* sim_;\n"
-                                  "  std::string host_;\n"
-                                  "  InlineAction action_;\n"
-                                  "};\n"}});
-  const ConfinementSite* anchorless = SiteAt(rep, "src/sps/fix.cc", 10);
-  ASSERT_NE(anchorless, nullptr);
-  EXPECT_EQ(anchorless->verdict, ConfinementVerdict::kGlobal);
-  EXPECT_NE(anchorless->reason.find("no host anchor"), std::string::npos);
-  const ConfinementSite* opaque = SiteAt(rep, "src/sps/fix.cc", 19);
-  ASSERT_NE(opaque, nullptr);
-  EXPECT_EQ(opaque->verdict, ConfinementVerdict::kGlobal);
-  EXPECT_NE(opaque->reason.find("opaque"), std::string::npos);
-}
-
-// --- R13: the planner's verdicts drive a rule -----------------------------
-
-TEST(R13ConfinementTest, FiresOnProvedConfinableGlobalPathSite) {
-  const auto fs = LintProg({{"src/sps/fix.cc",
-                             std::string(kPlannerDecl) +
-                                 "class Pump {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    sim_->Schedule(0.5, [this]() { emitted_ += 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "  int host_id_ = 0;\n"
-                                 "  int emitted_ = 0;\n"
-                                 "};\n"}});
-  ASSERT_EQ(CountRule(fs, Rule::kConfinementPlanner), 1);
-  const Finding* f = FirstOf(fs, Rule::kConfinementPlanner);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->line, 10);
-  ASSERT_EQ(f->path.size(), 3u);
-  EXPECT_EQ(f->path[0], "Pump::Start");
-  EXPECT_EQ(f->path[2], "confinable");
-}
-
-TEST(R13ConfinementTest, JustifiedSuppressionAndInheritedSitesAreQuiet) {
-  const auto fs = LintProg(
-      {{"src/sps/fix.cc",
-        std::string(kPlannerDecl) +
-            "class Pump {\n"
-            " public:\n"
-            "  void Start() {\n"
-            "    // lint: confinement-ok keeps the legacy event order for unit tests\n"
-            "    sim_->Schedule(0.5, [this]() { emitted_ += 1; });\n"
-            "    sim_->ScheduleOnHost(2, 0.0, [this]() { Step(); });\n"
-            "  }\n"
-            "  void Step() {\n"
-            "    ticks_ += 1;\n"
-            "    sim_->Schedule(0.1, [this]() { Step(); });\n"
-            "  }\n"
-            " private:\n"
-            "  Sim* sim_;\n"
-            "  int host_id_ = 2;\n"
-            "  int emitted_ = 0;\n"
-            "  int ticks_ = 0;\n"
-            "};\n"}});
-  // The first Start site is a proved-confinable global-path use, silenced
-  // by a justified suppression; the Step site inherits the confined plane
-  // through the OnHost-registered seed. Neither may fire.
-  EXPECT_EQ(CountRule(fs, Rule::kConfinementPlanner), 0);
-}
-
-TEST(R13ConfinementTest, OnHostSpellingAndAfterSplitSitesAreQuiet) {
-  const auto fs = LintProg({{"src/sps/fix.cc",
-                             std::string(kPlannerDecl) +
-                                 "struct Buf { int count; };\n"
-                                 "class Fan {\n"
-                                 " public:\n"
-                                 "  void Start() {\n"
-                                 "    sim_->ScheduleOnHost(1, 0.5, [this]() { n_ += 1; });\n"
-                                 "    sim_->Schedule(1.0, [this]() { other_->count = 1; });\n"
-                                 "  }\n"
-                                 " private:\n"
-                                 "  Sim* sim_;\n"
-                                 "  std::string host_;\n"
-                                 "  Buf* other_;\n"
-                                 "  int n_ = 0;\n"
-                                 "};\n"}});
-  // Site 1 is already confined; site 2 is confinable-after-split (R10
-  // territory, not R13's): R13 must stay quiet on both.
-  EXPECT_EQ(CountRule(fs, Rule::kConfinementPlanner), 0);
-}
-
-TEST(R13ConfinementTest, RuleIdBreaksTiesOnSharedFileLine) {
-  // Two Schedule sites on one line: the first trips R10 (ref-captured
-  // local), the second trips R13 (proved confinable, global path). The
-  // findings sort must order them R10-then-R13 by rule id so serial and
-  // --jobs=N runs emit byte-identical reports.
-  const auto fs = LintProg(
-      {{"src/sps/fix.cc",
-        std::string(kPlannerDecl) +
-            "class Fan {\n"
-            " public:\n"
-            "  void Go() {\n"
-            "    int total = 0;\n"
-            "    sim_->Schedule(1.0, [&total]() { total += 1; }); sim_->Schedule(2.0, [this]() { n_ += 1; });\n"
-            "  }\n"
-            " private:\n"
-            "  Sim* sim_;\n"
-            "  std::string host_;\n"
-            "  int n_ = 0;\n"
-            "};\n"}});
-  ASSERT_EQ(CountRule(fs, Rule::kPartitionConfinement), 1);
-  ASSERT_EQ(CountRule(fs, Rule::kConfinementPlanner), 1);
-  const Finding* r10 = FirstOf(fs, Rule::kPartitionConfinement);
-  const Finding* r13 = FirstOf(fs, Rule::kConfinementPlanner);
-  ASSERT_NE(r10, nullptr);
-  ASSERT_NE(r13, nullptr);
-  EXPECT_EQ(r10->line, 11);
-  EXPECT_EQ(r13->line, 11);
-  // Same (file, line): rule id is the final tie-break, R10 first.
-  size_t i10 = 0, i13 = 0;
-  for (size_t i = 0; i < fs.size(); ++i) {
-    if (fs[i].rule == Rule::kPartitionConfinement) i10 = i;
-    if (fs[i].rule == Rule::kConfinementPlanner) i13 = i;
-  }
-  EXPECT_LT(i10, i13);
 }
 
 }  // namespace

@@ -347,45 +347,21 @@ TEST(R6HostThreadingTest, SweepRunnerAndBenchAreAllowlisted) {
                       Rule::kHostThreading), 2);
 }
 
-TEST(R6HostThreadingTest, PartitionRuntimeCarveOutPermitsItsProtocolOnly) {
-  // The parallel DES runtime may use exactly the primitives its window
-  // protocol needs: workers, the stop token, and the phase gate.
-  const std::string protocol =
+TEST(R6HostThreadingTest, SimAndObsLayersHaveNoCarveOuts) {
+  // One event queue: no sim or obs file owns host threads, so workers,
+  // stop tokens and locks fire there like anywhere else in src/.
+  const std::string primitives =
       "std::vector<std::jthread> workers_;\n"
       "std::mutex mu_;\n"
       "std::condition_variable work_cv_;\n"
       "std::unique_lock<std::mutex> lock(mu_);\n"
       "const std::lock_guard<std::mutex> g(mu_);\n"
       "void WorkerLoop(int i, const std::stop_token& stop);\n";
-  EXPECT_TRUE(Lint("src/sim/partition.h", protocol).empty());
-  EXPECT_TRUE(Lint("src/sim/partition.cc", protocol).empty());
-  // The carve-out names a protocol, not a blanket suppression: primitives
-  // outside the list still fire in the same files...
-  const std::string outside =
-      "std::atomic<int> n{0};\n"
-      "std::thread t([] {});\n"
-      "auto f = std::async([] { return 1; });\n";
-  EXPECT_EQ(CountRule(Lint("src/sim/partition.cc", outside),
-                      Rule::kHostThreading), 3);
-  // ...and the protocol set stays banned everywhere else in the sim layer.
-  EXPECT_EQ(CountRule(Lint("src/sim/simulation.cc",
-                           "std::jthread w([] {});\n"),
-                      Rule::kHostThreading), 1);
-}
-
-TEST(R6HostThreadingTest, MailboxCarveOutIsItsMutexOnly) {
-  const std::string push =
-      "std::mutex mu_;\n"
-      "const std::lock_guard<std::mutex> lock(mu_);\n";
-  EXPECT_TRUE(Lint("src/sim/mailbox.h", push).empty());
-  EXPECT_TRUE(Lint("src/sim/mailbox.cc", push).empty());
-  // A mailbox must not grow threads, condvars, or lock-free machinery.
-  const std::string outside =
-      "std::jthread w([] {});\n"
-      "std::condition_variable cv;\n"
-      "std::atomic<uint64_t> seq{0};\n";
-  EXPECT_EQ(CountRule(Lint("src/sim/mailbox.cc", outside),
-                      Rule::kHostThreading), 3);
+  for (const char* path : {"src/sim/simulation.cc", "src/sim/network.h",
+                           "src/obs/registry.h", "src/obs/registry.cc"}) {
+    EXPECT_EQ(CountRule(Lint(path, primitives), Rule::kHostThreading), 8)
+        << path;
+  }
 }
 
 TEST(R6HostThreadingTest, SuppressionWithJustificationSilences) {

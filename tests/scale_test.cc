@@ -5,16 +5,13 @@
 // down without losing a record; the predictive policy beats the reactive
 // one on SLO-breach windows under a diurnal load; the demand search
 // bisects to the minimal SLO-holding replica count; and the thousand-host
-// multi-tenant acceptance run is byte-for-byte identical to serial under
-// the partitioned DES engine.
+// multi-tenant acceptance run scales up and back down without loss.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -588,9 +585,8 @@ TEST(ScaleTopologyTest, ThousandHostWideTopicConstructsLean) {
   }
   broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
   ASSERT_TRUE(cluster.CreateTopic("wide", 256).ok());
-  network.FreezeTopology();
-  // Freezing a thousand-host fleet allocates per-source buckets, not the
-  // ~10^6 host-pair links; untouched partitions stay null slots.
+  // A thousand-host fleet materializes no links (not the ~10^6 host-pair
+  // links); untouched partitions stay null slots.
   EXPECT_EQ(network.live_link_count(), 0u);
   auto n = cluster.NumPartitions("wide");
   ASSERT_TRUE(n.ok());
@@ -602,49 +598,9 @@ TEST(ScaleTopologyTest, ThousandHostWideTopicConstructsLean) {
 }
 
 // --- acceptance: 1000 hosts, 256 background partitions, flash crowd, ---
-// --- autoscaled, byte-identical across sim_threads                   ---
+// --- autoscaled                                                       ---
 
-void AppendBits(std::ostringstream* os, double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  *os << std::hex << bits << std::dec << ",";
-}
-
-std::string ScaleFingerprint(const core::ExperimentResult& r) {
-  std::ostringstream os;
-  os << r.events_sent << "|" << r.events_scored << "|"
-     << r.sim_events_executed << "|";
-  AppendBits(&os, r.sim_end_s);
-  os << "\n";
-  for (const core::Measurement& m : r.measurements) {
-    os << m.batch_id << ":";
-    AppendBits(&os, m.create_time);
-    AppendBits(&os, m.append_time);
-    os << "\n";
-  }
-  os << r.summary.ToJson() << "\n";
-  if (r.has_autoscale) {
-    for (const ScalingAction& a : r.autoscale.actions) {
-      os << "act:";
-      AppendBits(&os, a.t_s);
-      os << a.from << ">" << a.to << ":" << a.reason << "\n";
-    }
-    os << "ticks:" << r.autoscale.ticks << " peak:"
-       << r.autoscale.peak_replicas << " final:"
-       << r.autoscale.final_replicas << "\n";
-  }
-  if (r.has_fault_metrics) {
-    os << "losses:" << r.fault_metrics.losses
-       << " dup:" << r.fault_metrics.duplicates << "\n";
-  }
-  if (r.timeline != nullptr) {
-    os << r.timeline->ToJsonl() << r.timeline->ToCsv();
-  }
-  return os.str();
-}
-
-core::ExperimentConfig AcceptanceConfig(int threads) {
+core::ExperimentConfig AcceptanceConfig() {
   core::ExperimentConfig cfg = AutoscaledFlashCrowdConfig(77);
   cfg.duration_s = 40.0;
   cfg.workload.shape.spike_at_s = 10.0;
@@ -657,32 +613,18 @@ core::ExperimentConfig AcceptanceConfig(int threads) {
   cfg.workload.tenant_partitions = 8;
   cfg.workload.tenant_rate_factor = 0.02;
   cfg.workload.fleet_hosts = 950;
-  cfg.sim_threads = threads;
   return cfg;
 }
 
-TEST(ScaleAcceptanceTest, ThousandHostFlashCrowdMatchesSerialByteForByte) {
-  auto serial = core::RunExperiment(AcceptanceConfig(1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial->has_autoscale);
-  EXPECT_GE(serial->autoscale.scale_ups, 1u);
-  EXPECT_GE(serial->autoscale.scale_downs, 1u);
-  ASSERT_TRUE(serial->has_fault_metrics);
-  EXPECT_EQ(serial->fault_metrics.losses, 0u);
-  EXPECT_GT(serial->events_scored, 0u);
-
-  const std::string want = ScaleFingerprint(*serial);
-  auto parallel = core::RunExperiment(AcceptanceConfig(4));
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  const std::string got = ScaleFingerprint(*parallel);
-  if (got != want) {
-    size_t at = 0;
-    while (at < want.size() && at < got.size() && want[at] == got[at]) ++at;
-    FAIL() << "sim_threads=4 diverged from serial at byte " << at
-           << " (sizes " << want.size() << " vs " << got.size()
-           << "); context: \"" << want.substr(at > 40 ? at - 40 : 0, 80)
-           << "\" vs \"" << got.substr(at > 40 ? at - 40 : 0, 80) << "\"";
-  }
+TEST(ScaleAcceptanceTest, ThousandHostFlashCrowdScalesLossFree) {
+  auto run = core::RunExperiment(AcceptanceConfig());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->has_autoscale);
+  EXPECT_GE(run->autoscale.scale_ups, 1u);
+  EXPECT_GE(run->autoscale.scale_downs, 1u);
+  ASSERT_TRUE(run->has_fault_metrics);
+  EXPECT_EQ(run->fault_metrics.losses, 0u);
+  EXPECT_GT(run->events_scored, 0u);
 }
 
 // A small end-to-end demand table over two engines: the probe batch runs

@@ -8,13 +8,22 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "broker/cluster.h"
 #include "core/experiment.h"
+#include "fault/injector.h"
+#include "fault/plan.h"
+#include "fault/recovery.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "scale/autoscaler.h"
+#include "scale/policy.h"
+#include "sim/network.h"
+#include "sim/simulation.h"
 
 namespace crayfish::obs {
 namespace {
@@ -81,6 +90,56 @@ TEST(TimelineSamplerTest, EventsExactlyOnABoundaryBelongToTheNextWindow) {
   tl.Finalize(1.5);
   EXPECT_DOUBLE_EQ(tl.windows()[0].gauges.at("g"), 1.0);
   EXPECT_DOUBLE_EQ(tl.windows()[1].gauges.at("g"), 2.0);
+}
+
+TEST(TimelineSamplerTest, EventQueueGaugeCountsTheEventAboutToRun) {
+  // The kernel samples before the boundary-crossing event leaves the queue,
+  // so sim_event_queue counts it — whoever scheduled it: a component, the
+  // fault injector, or the autoscaler.
+  sim::Simulation sim(5);
+  TimelineSampler tl(1.0);
+  sim.AttachTimeline(&tl);
+  tl.AddProbe("sim_event_queue", ProbeKind::kGauge, [&sim]() {
+    return static_cast<double>(sim.pending_events());
+  });
+  sim::Network network(&sim);
+  broker::KafkaCluster cluster(&sim, &network, broker::ClusterConfig{});
+  fault::RecoveryTracker tracker;
+  fault::FaultPlan plan;
+  fault::FaultSpec degrade;
+  degrade.kind = fault::FaultKind::kLinkDegrade;
+  degrade.name = "slow-fabric";
+  degrade.latency_mult = 2.0;
+  degrade.at_s = 2.0;     // inject: first event past the 2 s boundary
+  degrade.until_s = 4.0;  // repair: first event past the 4 s boundary
+  plan.faults.push_back(degrade);
+  fault::FaultInjector injector(&sim, &network, &cluster, &tracker, &plan);
+  ASSERT_TRUE(injector.Arm().ok());
+  int replicas = 1;
+  scale::ActuatorHooks hooks;
+  hooks.current_replicas = [&replicas]() { return replicas; };
+  hooks.set_replicas = [&replicas](int n) { replicas = n; };
+  scale::Actuator actuator(&sim, "pool", std::move(hooks));
+  scale::PolicyConfig policy;
+  policy.enabled = true;
+  policy.interval_s = 3.0;  // one tick: first event past the 3 s boundary
+  scale::Autoscaler autoscaler(&sim, policy, &actuator,
+                               [](double) { return scale::PolicyInput{}; });
+  ASSERT_TRUE(autoscaler.Arm(3.0).ok());
+  sim.ScheduleAt(1.0, []() {});  // component event on the 1 s boundary
+  sim.ScheduleAt(5.5, []() {});  // component event inside window 5
+  sim.Run(6.0);
+  tl.Finalize(6.0);
+
+  ASSERT_EQ(tl.windows().size(), 6u);
+  // Window k closes just before the first event at or past (k + 1) s runs;
+  // that event and everything after it are still pending.
+  const double want[] = {5.0, 4.0, 3.0, 2.0, 1.0, 0.0};
+  for (size_t k = 0; k < 6; ++k) {
+    EXPECT_DOUBLE_EQ(tl.windows()[k].gauges.at("sim_event_queue"), want[k])
+        << "window " << k;
+  }
+  EXPECT_EQ(autoscaler.Summary().ticks, 1u);
 }
 
 TEST(TimelineSamplerTest, FaultsTagEveryOverlappingWindow) {

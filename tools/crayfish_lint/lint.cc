@@ -77,36 +77,6 @@ bool IsHostThreadingAllowlisted(std::string_view path) {
          InDir(path, "tools/crayfish_lint");
 }
 
-/// R6 carve-out for the parallel DES runtime: the partition engine and the
-/// cross-partition mailbox are the two sim-layer files that own host
-/// threads *by design* (DESIGN.md §4.6), so each gets an explicit list of
-/// the primitives its protocol needs — workers + phase gate for the
-/// runtime, one mutex for the mailbox. Anything outside the list (atomics,
-/// futures, semaphores, plain std::thread, ...) still fires R6: the
-/// carve-out names a protocol, it does not open the file to concurrency.
-const std::set<std::string>* HostThreadingCarveOut(std::string_view path) {
-  static const std::set<std::string> kPartitionRuntime = {
-      "jthread",     "stop_token",         "stop_source", "mutex",
-      "lock_guard",  "condition_variable", "unique_lock"};
-  static const std::set<std::string> kMailbox = {"mutex", "lock_guard"};
-  if (PathEndsWith(path, "src/sim/partition.h") ||
-      PathEndsWith(path, "src/sim/partition.cc")) {
-    return &kPartitionRuntime;
-  }
-  if (PathEndsWith(path, "src/sim/mailbox.h") ||
-      PathEndsWith(path, "src/sim/mailbox.cc")) {
-    return &kMailbox;
-  }
-  // Metric registry: updates are barrier-deferred (obs/defer.h), but the
-  // lookup-or-create maps take insertions from parallel window threads, so
-  // the registry owns one mutex — the same shape as the mailbox.
-  if (PathEndsWith(path, "src/obs/registry.h") ||
-      PathEndsWith(path, "src/obs/registry.cc")) {
-    return &kMailbox;
-  }
-  return nullptr;
-}
-
 /// R1 allowlist: the logging real-time sink is the single src/ place allowed
 /// to read the host clock (it never feeds back into simulation state), and
 /// bench/ harness code exists to measure wall time.
@@ -137,10 +107,7 @@ const std::map<std::string, Rule, std::less<>> kKeywordToRule = {
     {"layering-ok", Rule::kLayering},
     {"move-ok", Rule::kUseAfterMove},
     {"aliasing-ok", Rule::kPayloadAlias},
-    {"cross-host-ok", Rule::kPartitionConfinement},
-    {"capability-ok", Rule::kCapability},
     {"global-state-ok", Rule::kGlobalState},
-    {"confinement-ok", Rule::kConfinementPlanner},
 };
 
 // ---------------------------------------------------------------------------
@@ -189,19 +156,9 @@ class Linter {
     CheckLayering();
     CheckUseAfterMove();
     CheckPayloadAlias();
-    if (ctx_.whole_program != nullptr) {
-      CheckPartitionConfinement();
-      CheckCapabilities();
-      // R12 reads the per-file IR, but its shared-type exemption (a global
-      // whose class is CRAYFISH_SHARED in another TU) needs the program
-      // model, so the partition-safety rules run as one family. The CLI
-      // driver always builds the model, even for a single file.
-      if (InSimReachable(path_)) CheckGlobalState();
-      CheckConfinementPlanner();
-    }
+    if (ctx_.whole_program && InSimReachable(path_)) CheckGlobalState();
     // Rule id is the final tie-break so that multi-rule hits on one
-    // (file, line) — e.g. R10 and R13 on the same Schedule site — order
-    // identically no matter which check enqueued first.
+    // (file, line) order identically no matter which check enqueued first.
     std::stable_sort(findings_.begin(), findings_.end(),
                      [](const Finding& a, const Finding& b) {
                        if (a.line != b.line) return a.line < b.line;
@@ -241,8 +198,7 @@ class Linter {
                "unknown lint suppression keyword '" + s.keyword + "'",
                "use one of: wall-clock-ok, unseeded-ok, order-independent, "
                "status-ignored, float-ok, host-threading-ok, layering-ok, "
-               "move-ok, aliasing-ok, cross-host-ok, capability-ok, "
-               "global-state-ok, confinement-ok");
+               "move-ok, aliasing-ok, global-state-ok");
       } else if (s.justification.empty()) {
         Report(Rule::kSuppression, s.line,
                "lint suppression '" + s.keyword +
@@ -488,13 +444,11 @@ class Linter {
         "latch",         "barrier",
         "call_once",     "once_flag",
         "stop_source",   "stop_token"};
-    const std::set<std::string>* carve_out = HostThreadingCarveOut(path_);
     for (int i = 0; i < static_cast<int>(toks_.size()); ++i) {
       const Token& t = toks_[i];
       if (t.kind != TokenKind::kIdentifier || banned.count(t.text) == 0) {
         continue;
       }
-      if (carve_out != nullptr && carve_out->count(t.text) > 0) continue;
       // Only std-qualified uses: `std::thread`, `std::atomic<...>`. A bare
       // `thread` identifier (a variable, a field) is not a primitive.
       const int colons = PrevCode(toks_, i);
@@ -737,205 +691,44 @@ class Linter {
     return "";
   }
 
-  // R10-R12 helpers -------------------------------------------------------
-
   static std::string KeyOf(const Function& fn) {
     return fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
   }
 
-  /// Declared principal type of `name` as seen from inside `fn`:
-  /// locals/params, then captures, then the enclosing class's members, then
-  /// project globals. "" when unknown.
-  std::string TypeOfName(const Function& fn, const std::string& name) const {
-    for (const VarDecl& d : fn.locals) {
-      if (d.name == name) return d.type;
-    }
-    for (const Capture& c : fn.captures) {
-      if (c.name == name) return c.type;
-    }
-    const WholeProgram& wp = *ctx_.whole_program;
-    if (const ClassDecl* cd = wp.FindClass(fn.class_name)) {
-      for (const MemberDecl& m : cd->members) {
-        if (m.name == name) return m.type;
-      }
-    }
-    const auto it = wp.globals.find(name);
-    return it == wp.globals.end() ? std::string() : it->second.type;
-  }
-
-  // R10 --------------------------------------------------------------------
-  // Partition confinement: a callback peeled from Schedule/ScheduleAt may
-  // only write state reachable from its host object or from CRAYFISH_SHARED
-  // types. Everything else in its effect summary (computed bottom-up through
-  // the whole-program call graph) is a write that races once the event queue
-  // is partitioned per host.
-  void CheckPartitionConfinement() {
-    const WholeProgram& wp = *ctx_.whole_program;
-    for (const Function& fn : ir_.functions) {
-      if (!fn.is_callback) continue;
-      const auto eit = wp.effects.find(KeyOf(fn));
-      if (eit == wp.effects.end()) continue;
-      for (const Crossing& c : eit->second.crossings) {
-        // Direct crossings report at their own line; crossings inherited
-        // from callees report at the Schedule site with the true origin in
-        // the machine-readable path.
-        int line = fn.register_line;
-        const std::string prefix = path_ + ":";
-        if (c.origin.compare(0, prefix.size(), prefix) == 0) {
-          line = std::atoi(c.origin.c_str() + prefix.size());
-        }
-        std::ostringstream msg;
-        msg << "event callback '" << KeyOf(fn)
-            << "' writes state outside its host partition: " << c.kind
-            << " via '" << c.via << "'";
-        if (!c.type.empty()) msg << " (type '" << c.type << "')";
-        msg << ", field/method '" << c.field << "', written at " << c.origin
-            << "; under host-partitioned event queues this write races with "
-               "other partitions and breaks deterministic replay";
-        Report(Rule::kPartitionConfinement, line, msg.str(),
-               "route the write through the host object that scheduled this "
-               "callback; if the target type is a cross-host substrate with "
-               "a synchronization story, annotate it "
-               "CRAYFISH_SHARED(\"<channel>\"); otherwise annotate the line "
-               "`// lint: cross-host-ok <why>`",
-               {c.kind, c.via, c.type, c.field, c.origin});
-      }
-    }
-  }
-
-  // R11 --------------------------------------------------------------------
-  // Capability checking: writes to CRAYFISH_GUARDED_BY members and calls to
-  // CRAYFISH_REQUIRES methods are only clean when every entry-point path to
-  // the writing/calling function passes through a holder of the channel.
-  void CheckCapabilities() {
-    const WholeProgram& wp = *ctx_.whole_program;
-    std::set<std::string> reported;  // dedup "line:channel:what"
-    for (const Function& fn : ir_.functions) {
-      const FunctionNode* node = wp.Find(KeyOf(fn));
-      if (node == nullptr) continue;
-      for (const WriteSite& w : fn.writes) {
-        const ClassDecl* cd = nullptr;
-        if (w.base.empty() || w.base == "this") {
-          cd = wp.FindClass(fn.class_name);
-        } else if (w.base != "<expr>") {
-          cd = wp.FindClass(TypeOfName(fn, w.base));
-        }
-        if (cd == nullptr) continue;
-        for (const MemberDecl& m : cd->members) {
-          if (m.name != w.field || m.guarded_by.empty()) continue;
-          if (wp.Holds(*node, m.guarded_by)) continue;
-          const std::string dedup = std::to_string(w.line) + ":" +
-                                    m.guarded_by + ":" + m.name;
-          if (!reported.insert(dedup).second) continue;
-          std::ostringstream msg;
-          msg << "'" << KeyOf(fn) << "' writes '" << cd->name << "::"
-              << m.name << "' which is CRAYFISH_GUARDED_BY(\"" << m.guarded_by
-              << "\"), but can be reached from an entry point that never "
-                 "acquires that channel";
-          std::ostringstream fix;
-          fix << "annotate the writer (or the entry points above it) "
-                 "CRAYFISH_REQUIRES(\"" << m.guarded_by
-              << "\") so the whole-program analysis can prove the channel is "
-                 "held, or annotate `// lint: capability-ok <why>`";
-          Report(Rule::kCapability, w.line, msg.str(), fix.str());
-        }
-      }
-      for (const CallSite& cs : fn.calls) {
-        for (const std::string& callee_key : node->calls) {
-          if (callee_key == node->key) continue;
-          const size_t tail = callee_key.size() - cs.callee.size();
-          const bool name_matches =
-              callee_key == cs.callee ||
-              (callee_key.size() > cs.callee.size() + 2 &&
-               callee_key.compare(tail, cs.callee.size(), cs.callee) == 0 &&
-               callee_key.compare(tail - 2, 2, "::") == 0);
-          if (!name_matches) continue;
-          const FunctionNode* callee = wp.Find(callee_key);
-          if (callee == nullptr) continue;
-          for (const std::string& ch : callee->requires_channels) {
-            if (wp.Holds(*node, ch)) continue;
-            const std::string dedup =
-                std::to_string(cs.line) + ":" + ch + ":" + callee_key;
-            if (!reported.insert(dedup).second) continue;
-            std::ostringstream msg;
-            msg << "'" << KeyOf(fn) << "' calls '" << callee_key
-                << "' which CRAYFISH_REQUIRES(\"" << ch
-                << "\"), but can be reached from an entry point that never "
-                   "acquires that channel";
-            std::ostringstream fix;
-            fix << "annotate '" << KeyOf(fn) << "' CRAYFISH_REQUIRES(\"" << ch
-                << "\") and push the obligation to its callers, or annotate "
-                   "`// lint: capability-ok <why>`";
-            Report(Rule::kCapability, cs.line, msg.str(), fix.str());
-          }
-        }
-      }
-    }
-  }
-
-  // R13 --------------------------------------------------------------------
-  // Confinement planner enforcement: when the planner proves a
-  // Schedule/ScheduleAt site confinable from pure setup context (all touched
-  // state host-local, host anchor present, no global-plane reachability),
-  // using the global path leaves a provably-parallelizable event on the
-  // coordinator. Inherited sites (confined caller context) are exempt: the
-  // global spelling already lands on the owning host there.
-  void CheckConfinementPlanner() {
-    const WholeProgram& wp = *ctx_.whole_program;
-    for (const ConfinementSite& s : wp.confinement.sites) {
-      if (!SamePath(s.file, path_)) continue;
-      if (s.verdict != ConfinementVerdict::kConfinable || s.inherited) {
-        continue;
-      }
-      if (s.method != "Schedule" && s.method != "ScheduleAt") continue;
-      std::ostringstream msg;
-      msg << "'" << s.function << "' schedules a provably host-confinable "
-          << "event through the global path (" << s.method << "): "
-          << s.reason << "; the partitioned engine cannot parallelize it "
-          << "until it targets the owning host";
-      std::ostringstream fix;
-      fix << "schedule via "
-          << (s.method == "Schedule" ? "ScheduleOnHost" : "ScheduleAtOnHost")
-          << " with the component's host id (see the README migration "
-             "recipe), or annotate `// lint: confinement-ok <why>`";
-      Report(Rule::kConfinementPlanner, s.line, msg.str(), fix.str(),
-             {s.function, s.callback, std::string(
-                  ConfinementVerdictName(s.verdict))});
-    }
-  }
-
   // R12 --------------------------------------------------------------------
   // Global mutable state in sim-reachable code: a namespace-scope variable
-  // or function-local static is shared by every host partition, so any write
-  // is an unsynchronized cross-partition write once the DES goes parallel.
+  // or function-local static is shared by every simulation in the process,
+  // and `--jobs` runs simulations concurrently on host threads, so any
+  // write races across experiments and breaks per-seed replay.
   void CheckGlobalState() {
     for (const GlobalDecl& g : ir_.globals) {
       if (g.is_const || g.is_extern_decl) continue;
-      std::string shared = g.shared_channel;
-      if (shared.empty() && ctx_.whole_program != nullptr) {
-        shared = ctx_.whole_program->SharedChannelOfType(g.type);
-      }
-      if (!shared.empty()) continue;
       Report(Rule::kGlobalState, g.line,
              "mutable namespace-scope variable '" + g.name +
-                 "' in sim-reachable code; every host partition shares it, "
-                 "so writes race under the parallel DES and break replay",
+                 "' in sim-reachable code; every concurrent simulation "
+                 "(--jobs) shares it, so writes race and break replay",
              "move the state into the owning component (plumbed through the "
-             "simulation), make it const/constexpr, or give its type a "
-             "CRAYFISH_SHARED(\"<channel>\") synchronization story; a "
-             "deliberate exception gets `// lint: global-state-ok <why>`");
+             "simulation) or make it const/constexpr; a deliberate "
+             "exception gets `// lint: global-state-ok <why>`");
     }
     for (const Function& fn : ir_.functions) {
-      for (const VarDecl& d : fn.locals) {
+      ReportStaticLocals(fn, fn.body);
+    }
+  }
+
+  void ReportStaticLocals(const Function& fn, const std::vector<Stmt>& stmts) {
+    for (const Stmt& s : stmts) {
+      for (const VarDecl& d : s.decls) {
         if (!d.is_static || d.is_const) continue;
         Report(Rule::kGlobalState, d.line,
                "function-local static '" + d.name + "' in '" + KeyOf(fn) +
-                   "' is mutable cross-call state shared by every partition "
-                   "that runs this function",
+                   "' is mutable cross-call state shared by every concurrent "
+                   "simulation (--jobs) that runs this function",
                "hoist the state into the owning object or pass it in "
                "explicitly; a deliberate exception gets "
                "`// lint: global-state-ok <why>`");
       }
+      for (const auto& branch : s.branches) ReportStaticLocals(fn, branch);
     }
   }
 
@@ -997,14 +790,8 @@ std::string_view RuleName(Rule rule) {
       return "R8";
     case Rule::kPayloadAlias:
       return "R9";
-    case Rule::kPartitionConfinement:
-      return "R10";
-    case Rule::kCapability:
-      return "R11";
     case Rule::kGlobalState:
       return "R12";
-    case Rule::kConfinementPlanner:
-      return "R13";
   }
   return "R?";
 }
@@ -1031,14 +818,8 @@ std::string_view SuppressionKeyword(Rule rule) {
       return "move-ok";
     case Rule::kPayloadAlias:
       return "aliasing-ok";
-    case Rule::kPartitionConfinement:
-      return "cross-host-ok";
-    case Rule::kCapability:
-      return "capability-ok";
     case Rule::kGlobalState:
       return "global-state-ok";
-    case Rule::kConfinementPlanner:
-      return "confinement-ok";
   }
   return "";
 }
@@ -1113,12 +894,11 @@ std::vector<Finding> LintProgram(
   std::vector<FileIR> irs;
   irs.reserve(sources.size());
   ProjectContext ctx;
+  ctx.whole_program = true;
   for (const auto& [path, source] : sources) {
     irs.push_back(ParseSource(path, source));
     CollectProject(irs.back(), &ctx);
   }
-  const WholeProgram wp = BuildWholeProgram(irs);
-  ctx.whole_program = &wp;
   std::vector<Finding> out;
   for (const FileIR& ir : irs) {
     std::vector<Finding> f = LintFile(ir, ctx, options);

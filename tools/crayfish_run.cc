@@ -27,12 +27,6 @@
 //                       multi-tenant fan-out; see README)
 //   --autoscaler=PATH   run the elastic control loop from a policy JSON
 //                       (reactive | predictive) and report scaling actions
-//   --confinement_report[=PATH]
-//                       print the per-component scheduling-plane verdict
-//                       table (from the lint confinement plan) for the
-//                       loaded config's topology — shows which components
-//                       run host-confined (and so scale with sim_threads)
-//                       and which stay on the global plane, and why
 //   --help              this text
 // (any trace/metrics flag implicitly enables tracing for the run; any
 // timeline/SLO flag enables the telemetry timeline, which never perturbs
@@ -56,8 +50,6 @@
 //   timeline_interval_s = 0          # > 0 enables the telemetry timeline
 //   slo           =                  # SLO spec JSON (implies the timeline)
 //   seed          = 42
-//   sim_threads   = 1                # parallel DES partitions (results are
-//                                    # byte-identical at any value)
 //   # workload.* / autoscaler.* keys override the respective JSON specs
 //   # (and enable them), e.g.:
 //   # workload.kind        = flash-crowd
@@ -71,12 +63,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
-#include "common/json.h"
 #include "common/logging.h"
 #include "core/experiment.h"
 #include "core/report.h"
@@ -118,8 +108,6 @@ core::ExperimentConfig FromConfig(const Config& cfg) {
   out.max_measurements =
       static_cast<uint64_t>(cfg.GetIntOr("max_measurements", 0));
   out.seed = static_cast<uint64_t>(cfg.GetIntOr("seed", 42));
-  out.sim_threads =
-      static_cast<int>(cfg.GetIntOr("sim_threads", out.sim_threads));
   out.dataset_path = cfg.GetStringOr("dataset", "");
   out.enable_tracing = cfg.GetBoolOr("trace", out.enable_tracing);
   out.timeline_interval_s =
@@ -208,119 +196,6 @@ Status ApplyScaleConfig(const Config& cfg, const std::string& workload_flag,
   return Status::Ok();
 }
 
-// Maps the loaded config's topology onto the component classes named by
-// the confinement plan (`crayfish_lint --dump-confinement`). The broker
-// path and the engine base are always present; the engine subclass, the
-// external serving server, and the fault injector depend on the config.
-std::vector<std::string> TopologyComponents(
-    const core::ExperimentConfig& cfg) {
-  std::vector<std::string> out = {"InputProducer", "KafkaCluster",
-                                  "KafkaProducer", "KafkaConsumer"};
-  if (cfg.engine == "flink") {
-    out.push_back("FlinkEngine");
-  } else if (cfg.engine == "kafka-streams") {
-    out.push_back("KafkaStreamsEngine");
-  } else if (cfg.engine == "spark") {
-    out.push_back("SparkEngine");
-  } else if (cfg.engine == "ray") {
-    out.push_back("RayEngine");
-  }
-  out.push_back("StreamEngine");
-  out.push_back("OperatorTask");
-  if (serving::IsExternalTool(cfg.serving)) {
-    out.push_back("ExternalServingServer");
-  }
-  if (cfg.fault_plan.active()) out.push_back("FaultInjector");
-  return out;
-}
-
-// Prints the per-component verdict table from the confinement plan JSON
-// for the components this config instantiates, then lists the sites that
-// stay on the global scheduling plane — the answer to "why doesn't my
-// experiment scale with sim_threads".
-int PrintConfinementReport(const core::ExperimentConfig& cfg,
-                           const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr,
-                 "confinement report error: cannot open %s (run from the "
-                 "repo root, or pass --confinement_report=PATH; regenerate "
-                 "with ./build/tools/crayfish_lint --dump-confinement src)\n",
-                 path.c_str());
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto doc_or = JsonValue::Parse(text);
-  if (!doc_or.ok()) {
-    std::fprintf(stderr, "confinement report error (%s): %s\n", path.c_str(),
-                 doc_or.status().ToString().c_str());
-    return 1;
-  }
-  const JsonValue& doc = *doc_or;
-  const JsonValue* components = doc.Find("components");
-  const JsonValue* sites = doc.Find("sites");
-  if (components == nullptr || !components->is_object() || sites == nullptr ||
-      !sites->is_array()) {
-    std::fprintf(stderr,
-                 "confinement report error (%s): not a --dump-confinement "
-                 "document\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("confinement plan for %s (schema v%lld, %s):\n",
-              cfg.Label().c_str(),
-              static_cast<long long>(doc.GetIntOr("schema_version", 0)),
-              path.c_str());
-  std::printf("  %-22s %9s %11s %6s %7s  %s\n", "component", "confined",
-              "confinable", "split", "global", "host-plane share");
-  const std::vector<std::string> relevant = TopologyComponents(cfg);
-  for (const std::string& name : relevant) {
-    const JsonValue* comp = components->Find(name);
-    if (comp == nullptr) continue;  // not in the scanned tree
-    const long long confined = comp->GetIntOr("confined", 0);
-    const long long confinable = comp->GetIntOr("confinable", 0);
-    const long long split = comp->GetIntOr("confinable_after_split", 0);
-    const long long global = comp->GetIntOr("global", 0);
-    const long long total = confined + confinable + split + global;
-    const long long host_plane = confined + confinable;
-    std::printf("  %-22s %9lld %11lld %6lld %7lld  %lld/%lld", name.c_str(),
-                confined, confinable, split, global, host_plane, total);
-    if (total > 0) {
-      std::printf(" (%.0f%%)", 100.0 * static_cast<double>(host_plane) /
-                                   static_cast<double>(total));
-    }
-    std::printf("\n");
-  }
-  // The global-plane sites are the serialization points: each one is an
-  // event every partition must order against, so they bound scaling.
-  bool header = false;
-  for (const JsonValue& site : sites->as_array()) {
-    if (site.GetStringOr("verdict", "") != "global") continue;
-    const std::string comp = site.GetStringOr("component", "");
-    bool ours = false;
-    for (const std::string& name : relevant) {
-      if (comp == name) ours = true;
-    }
-    if (!ours) continue;
-    if (!header) {
-      std::printf("  global-plane sites (serialize across partitions):\n");
-      header = true;
-    }
-    std::printf("    %s:%lld %s — %s\n",
-                site.GetStringOr("file", "?").c_str(),
-                static_cast<long long>(site.GetIntOr("line", 0)),
-                site.GetStringOr("function", "?").c_str(),
-                site.GetStringOr("reason", "").c_str());
-  }
-  if (!header) {
-    std::printf(
-        "  no global-plane sites: this topology schedules entirely on "
-        "host-confined planes\n");
-  }
-  return 0;
-}
-
 void PrintUsage(const char* prog) {
   std::fprintf(
       stderr,
@@ -328,9 +203,6 @@ void PrintUsage(const char* prog) {
       "flags:\n"
       "  --jobs=N            max concurrent experiments (default: hardware\n"
       "                      concurrency; --jobs=1 runs serially)\n"
-      "  --sim_threads=N     host partitions for the parallel DES engine\n"
-      "                      (default 1; results are byte-identical at any\n"
-      "                      value — overrides the sim_threads config key)\n"
       "  --trace_out=PATH    Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --trace_csv=PATH    per-span CSV export of the trace\n"
       "  --metrics_out=PATH  metrics-registry snapshot as JSON\n"
@@ -346,10 +218,6 @@ void PrintUsage(const char* prog) {
       "                      flash-crowd|ramp|replay + multi-tenant fan-out)\n"
       "  --autoscaler=PATH   elastic-scaling policy JSON (reactive |\n"
       "                      predictive); scaling actions print after the run\n"
-      "  --confinement_report[=PATH]\n"
-      "                      print the per-component scheduling-plane\n"
-      "                      verdict table for this config's topology\n"
-      "                      (default PATH: the checked-in lint golden)\n"
       "  --help              show this text\n"
       "any observability flag enables tracing; observability flags and the\n"
       "measurements CSV require a single config file\n",
@@ -371,7 +239,6 @@ int main(int argc, char** argv) {
   std::string trace_csv;
   std::string metrics_out;
   std::string jobs_str;
-  std::string sim_threads_str;
   std::string faults_path;
   std::string timeline_out;
   std::string timeline_csv;
@@ -380,9 +247,6 @@ int main(int argc, char** argv) {
   std::string slo_out;
   std::string workload_path;
   std::string autoscaler_path;
-  bool confinement_report = false;
-  std::string confinement_path =
-      "tools/crayfish_lint/golden/confinement_src.json";
   bool print_breakdown = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -393,12 +257,7 @@ int main(int argc, char** argv) {
     }
     if (arg == "--breakdown") {
       print_breakdown = true;
-    } else if (arg == "--confinement_report") {
-      confinement_report = true;
-    } else if (ParseFlag(arg, "--confinement_report", &confinement_path)) {
-      confinement_report = true;
     } else if (ParseFlag(arg, "--jobs", &jobs_str) ||
-               ParseFlag(arg, "--sim_threads", &sim_threads_str) ||
                ParseFlag(arg, "--trace_out", &trace_out) ||
                ParseFlag(arg, "--trace_csv", &trace_csv) ||
                ParseFlag(arg, "--metrics_out", &metrics_out) ||
@@ -427,15 +286,6 @@ int main(int argc, char** argv) {
     }
     core::SetDefaultSweepJobs(jobs);
   }
-  // 0 = not given; the config key (or its default of 1) applies.
-  int sim_threads_flag = 0;
-  if (!sim_threads_str.empty()) {
-    sim_threads_flag = std::atoi(sim_threads_str.c_str());
-    if (sim_threads_flag < 1 || sim_threads_flag > 64) {
-      std::fprintf(stderr, "--sim_threads must be in [1, 64]\n");
-      return 2;
-    }
-  }
   // The trailing positional is the measurements CSV when it ends in
   // ".csv"; everything else is a config file.
   std::string measurements_csv;
@@ -457,7 +307,6 @@ int main(int argc, char** argv) {
       !timeline_out.empty() || !timeline_csv.empty() ||
       !timeline_interval.empty() || !slo_path.empty() || !slo_out.empty();
   if (positional.size() > 1 && (want_obs_flags || want_timeline_flags ||
-                                confinement_report ||
                                 !measurements_csv.empty())) {
     std::fprintf(stderr,
                  "observability flags and the measurements CSV require a "
@@ -477,7 +326,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       batch.push_back(FromConfig(*cfg_or));
-      if (sim_threads_flag > 0) batch.back().sim_threads = sim_threads_flag;
       crayfish::Status fs =
           ApplyFaultConfig(*cfg_or, faults_path, &batch.back());
       if (!fs.ok()) {
@@ -515,7 +363,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   core::ExperimentConfig cfg = FromConfig(*cfg_or);
-  if (sim_threads_flag > 0) cfg.sim_threads = sim_threads_flag;
   {
     crayfish::Status fs = ApplyFaultConfig(*cfg_or, faults_path, &cfg);
     if (!fs.ok()) {
@@ -539,12 +386,6 @@ int main(int argc, char** argv) {
   const bool want_obs = print_breakdown || !trace_out.empty() ||
                         !trace_csv.empty() || !metrics_out.empty();
   if (want_obs) cfg.enable_tracing = true;
-  // The verdict table is a pure passthrough: print it before the run so
-  // the scaling context precedes the numbers it explains.
-  if (confinement_report) {
-    const int rc = PrintConfinementReport(cfg, confinement_path);
-    if (rc != 0) return rc;
-  }
   // A timeline export with no interval/SLO given still means "sample":
   // fall back to the 1 s default window.
   if ((!timeline_out.empty() || !timeline_csv.empty()) &&

@@ -65,8 +65,6 @@ core::ExperimentConfig ConfigToExperiment(const Config& cfg) {
   out.duration_s = cfg.GetDoubleOr("duration_s", out.duration_s);
   out.drain_s = cfg.GetDoubleOr("drain_s", out.drain_s);
   out.seed = static_cast<uint64_t>(cfg.GetIntOr("seed", 42));
-  out.sim_threads =
-      static_cast<int>(cfg.GetIntOr("sim_threads", out.sim_threads));
   out.dataset_path = cfg.GetStringOr("dataset", "");
   out.timeline_interval_s =
       cfg.GetDoubleOr("timeline_interval_s", out.timeline_interval_s);
@@ -111,14 +109,11 @@ Status ApplySloConfig(const Config& cfg, core::ExperimentConfig* out) {
 int main(int argc, char** argv) {
   const auto print_usage = [&argv] {
     std::fprintf(stderr,
-                 "usage: %s [--jobs=N] [--sim_threads=N] <config.properties> "
-                 "<sweep_key> <v1,v2,...> [out.csv]\n"
-                 "  --sim_threads=N  parallel-DES partitions per experiment\n"
-                 "                   (default 1; byte-identical results)\n",
+                 "usage: %s [--jobs=N] <config.properties> "
+                 "<sweep_key> <v1,v2,...> [out.csv]\n",
                  argv[0]);
   };
   std::vector<std::string> positional;
-  int sim_threads_flag = 0;  // 0 = use the config key (default 1)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
@@ -128,13 +123,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       core::SetDefaultSweepJobs(jobs);
-    } else if (arg.rfind("--sim_threads=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 14);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "--sim_threads must be in [1, 64]\n");
-        return 2;
-      }
-      sim_threads_flag = n;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       print_usage();
@@ -170,7 +158,6 @@ int main(int argc, char** argv) {
     Config point = *base_or;
     point.Set(sweep_key, value);
     core::ExperimentConfig exp = ConfigToExperiment(point);
-    if (sim_threads_flag > 0) exp.sim_threads = sim_threads_flag;
     crayfish::Status fs = ApplyFaultConfig(point, &exp);
     if (!fs.ok()) {
       std::fprintf(stderr, "fault plan error (%s=%s): %s\n",

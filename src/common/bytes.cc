@@ -38,13 +38,16 @@ void ByteWriter::PutRaw(const uint8_t* data, size_t len) {
 
 void ByteWriter::PutF32Array(const float* data, size_t len) {
   PutU64(len);
+  // memcpy's pointers must be non-null even for zero bytes, and an empty
+  // array may come with data == nullptr.
+  if (len == 0) return;
   const size_t offset = buf_.size();
   buf_.resize(offset + len * sizeof(float));
   std::memcpy(buf_.data() + offset, data, len * sizeof(float));
 }
 
 Status ByteReader::Need(size_t n) const {
-  if (pos_ + n > len_) {
+  if (n > len_ - pos_) {  // pos_ <= len_; the sum could wrap
     return Status::Corruption("byte buffer truncated");
   }
   return Status::Ok();
@@ -112,8 +115,11 @@ StatusOr<Bytes> ByteReader::GetBlock() {
 
 StatusOr<std::vector<float>> ByteReader::GetF32Array() {
   CRAYFISH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CRAYFISH_RETURN_IF_ERROR(Need(n * sizeof(float)));
+  if (n > remaining() / sizeof(float)) {
+    return Status::Corruption("byte buffer truncated");
+  }
   std::vector<float> out(n);
+  if (n == 0) return out;  // out.data() may be null
   std::memcpy(out.data(), data_ + pos_, n * sizeof(float));
   pos_ += n * sizeof(float);
   return out;

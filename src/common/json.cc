@@ -1,8 +1,9 @@
 #include "common/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace crayfish {
@@ -21,7 +22,14 @@ void AppendNumber(std::string* out, double d) {
   out->append(buf);
 }
 
-/// Recursive-descent JSON parser over a raw character range.
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '-' || c == '+';
+}
+
+/// Recursive-descent JSON parser over a raw character range. Its members
+/// are public so the json:: grammar helpers below can drive single
+/// productions.
 class Parser {
  public:
   Parser(const char* begin, const char* end) : p_(begin), end_(end) {}
@@ -35,13 +43,9 @@ class Parser {
     return v;
   }
 
- private:
-  void SkipWhitespace() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
+  const char* position() const { return p_; }
+
+  void SkipWhitespace() { p_ = json::SkipWhitespace(p_, end_); }
 
   bool Consume(char c) {
     if (p_ != end_ && *p_ == c) {
@@ -86,22 +90,15 @@ class Parser {
   }
 
   StatusOr<JsonValue> ParseNumber() {
-    const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    bool any = false;
-    while (p_ != end_ && (std::isdigit(static_cast<unsigned char>(*p_)) ||
-                          *p_ == '.' || *p_ == 'e' || *p_ == 'E' ||
-                          *p_ == '-' || *p_ == '+')) {
-      ++p_;
-      any = true;
+    double d = 0.0;
+    const char* next = json::ReadNumber(p_, end_, &d);
+    if (next == nullptr) {
+      const char* stop = p_;
+      while (stop != end_ && IsNumberChar(*stop)) ++stop;
+      return Status::InvalidArgument("invalid number: " +
+                                     std::string(p_, stop));
     }
-    if (!any) return Status::InvalidArgument("invalid number");
-    const std::string text(start, p_);
-    char* parse_end = nullptr;
-    const double d = std::strtod(text.c_str(), &parse_end);
-    if (parse_end != text.c_str() + text.size()) {
-      return Status::InvalidArgument("invalid number: " + text);
-    }
+    p_ = next;
     return JsonValue(d);
   }
 
@@ -198,11 +195,55 @@ class Parser {
     return JsonValue(std::move(obj));
   }
 
+ private:
   const char* p_;
   const char* end_;
 };
 
 }  // namespace
+
+namespace json {
+
+const char* ReadNumber(const char* p, const char* end, double* out) {
+  // strtod's decimal form starts with a digit or '.' after the sign;
+  // without this check from_chars would also take "inf" and "nan".
+  const char* digits = (p != end && (*p == '-' || *p == '+')) ? p + 1 : p;
+  if (digits == end ||
+      !((*digits >= '0' && *digits <= '9') || *digits == '.')) {
+    return nullptr;
+  }
+  // from_chars reads that form, except for a leading '+'.
+  const char* first = *p == '+' ? digits : p;
+  double value = 0.0;
+  const std::from_chars_result r = std::from_chars(first, end, value);
+  if (r.ec == std::errc::invalid_argument) return nullptr;
+  // The number must run to the end of its [0-9.eE+-] run, as strtod had to
+  // consume the whole run.
+  if (r.ptr != end && IsNumberChar(*r.ptr)) return nullptr;
+  if (r.ec == std::errc::result_out_of_range) {
+    // strtod maps these to +-HUGE_VAL or a (sub)normal/zero; keep its value.
+    const std::string text(p, r.ptr);
+    value = std::strtod(text.c_str(), nullptr);
+  }
+  *out = value;
+  return r.ptr;
+}
+
+const char* ReadString(const char* p, const char* end, std::string* out) {
+  Parser parser(p, end);
+  StatusOr<std::string> s = parser.ParseString();
+  if (!s.ok()) return nullptr;
+  *out = std::move(*s);
+  return parser.position();
+}
+
+const char* SkipValue(const char* p, const char* end) {
+  Parser parser(p, end);
+  if (!parser.ParseValue().ok()) return nullptr;
+  return parser.position();
+}
+
+}  // namespace json
 
 std::string JsonEscape(const std::string& s) {
   std::string out;

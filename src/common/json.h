@@ -11,6 +11,16 @@
 
 namespace crayfish {
 
+/// The double -> int64 conversion behind JsonValue::as_int. NaN and values
+/// outside int64's range map to INT64_MIN, the value x86-64's truncating
+/// convert yields, so the conversion is defined for every parsed number.
+inline int64_t JsonNumberToInt(double d) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return INT64_MIN;
+  }
+  return static_cast<int64_t>(d);
+}
+
 /// Minimal JSON document model. Crayfish uses JSON serialization throughout
 /// the data pipeline (paper §3.1) — CrayfishDataBatch payloads, configs, and
 /// reports are all JSON.
@@ -55,7 +65,7 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
+  int64_t as_int() const { return JsonNumberToInt(number_); }
   const std::string& as_string() const { return string_; }
   const Array& as_array() const { return array_; }
   Array& as_array() { return array_; }
@@ -100,6 +110,38 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON (adds surrounding quotes).
 std::string JsonEscape(const std::string& s);
+
+/// The pieces of the grammar JsonValue::Parse is built from, for readers
+/// that walk JSON text without building a tree (common/batch_json.h) and
+/// must accept exactly what JsonValue::Parse accepts. Each reads at `p`,
+/// returns one past what it consumed, and returns nullptr when the text
+/// there is malformed.
+namespace json {
+
+/// Skips JSON whitespace (space, tab, LF, CR); never fails.
+inline const char* SkipWhitespace(const char* p, const char* end) {
+  while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+    ++p;
+  }
+  return p;
+}
+/// True when JsonValue::Parse reads a value starting with `c` as a number:
+/// every character but the openers of objects, arrays, strings and the
+/// true/false/null literals.
+inline bool StartsNumber(char c) {
+  return c != '{' && c != '[' && c != '"' && c != 't' && c != 'f' &&
+         c != 'n';
+}
+/// A number: an optional sign and a run of [0-9.eE+-] that strtod must
+/// consume whole. A leading '+' is accepted, overflow gives +-HUGE_VAL and
+/// underflow gives strtod's (sub)normal or zero.
+const char* ReadNumber(const char* p, const char* end, double* out);
+/// A quoted string, escapes decoded into `out`.
+const char* ReadString(const char* p, const char* end, std::string* out);
+/// Leading whitespace, then one complete value of any type.
+const char* SkipValue(const char* p, const char* end);
+
+}  // namespace json
 
 }  // namespace crayfish
 

@@ -1,7 +1,6 @@
 #include "core/data_batch.h"
 
-#include <cstdio>
-
+#include "common/batch_json.h"
 #include "common/logging.h"
 
 namespace crayfish::core {
@@ -20,65 +19,25 @@ int64_t CrayfishDataBatch::batch_size() const {
 
 std::string CrayfishDataBatch::ToJson() const {
   std::string out;
-  out.reserve(data.size() * 6 + 128);
-  out += "{\"id\":";
-  out += std::to_string(id);
-  char ts[32];
-  std::snprintf(ts, sizeof(ts), "%.6f", created_at);
-  out += ",\"ts\":";
-  out += ts;
-  out += ",\"shape\":[";
-  for (size_t i = 0; i < shape.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(shape[i]);
-  }
-  out += "],\"data\":[";
-  char buf[16];
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (i > 0) out += ",";
-    std::snprintf(buf, sizeof(buf), "%.3f", data[i]);
-    out += buf;
-  }
-  out += "]}";
+  crayfish::AppendBatchJson(id, created_at, shape, data, &out);
+  return out;
+}
+
+crayfish::Bytes CrayfishDataBatch::ToJsonBytes() const {
+  crayfish::Bytes out;
+  crayfish::AppendBatchJson(id, created_at, shape, data, &out);
   return out;
 }
 
 crayfish::StatusOr<CrayfishDataBatch> CrayfishDataBatch::FromJson(
     const std::string& text) {
-  CRAYFISH_ASSIGN_OR_RETURN(JsonValue v, JsonValue::Parse(text));
-  if (!v.is_object()) {
-    return crayfish::Status::InvalidArgument("batch JSON must be an object");
-  }
+  CRAYFISH_ASSIGN_OR_RETURN(crayfish::DecodedBatch decoded,
+                            crayfish::DecodeBatchJson(text));
   CrayfishDataBatch batch;
-  batch.id = static_cast<uint64_t>(v.GetIntOr("id", 0));
-  batch.created_at = v.GetNumberOr("ts", 0.0);
-  const JsonValue* shape = v.Find("shape");
-  if (shape == nullptr || !shape->is_array()) {
-    return crayfish::Status::InvalidArgument("batch JSON missing shape");
-  }
-  for (const JsonValue& d : shape->as_array()) {
-    if (!d.is_number()) {
-      return crayfish::Status::InvalidArgument("shape entries must be numbers");
-    }
-    batch.shape.push_back(d.as_int());
-  }
-  const JsonValue* data = v.Find("data");
-  if (data == nullptr || !data->is_array()) {
-    return crayfish::Status::InvalidArgument("batch JSON missing data");
-  }
-  batch.data.reserve(data->size());
-  for (const JsonValue& d : data->as_array()) {
-    if (!d.is_number()) {
-      return crayfish::Status::InvalidArgument("data entries must be numbers");
-    }
-    batch.data.push_back(static_cast<float>(d.as_number()));
-  }
-  const int64_t per_sample = batch.elements_per_sample();
-  if (per_sample == 0 ||
-      static_cast<int64_t>(batch.data.size()) % per_sample != 0) {
-    return crayfish::Status::InvalidArgument(
-        "data length is not a multiple of the sample size");
-  }
+  batch.id = decoded.id;
+  batch.created_at = decoded.ts;
+  batch.shape = std::move(decoded.shape);
+  batch.data = std::move(decoded.data);
   return batch;
 }
 

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
+#include "common/bytes.h"
 #include "common/status.h"
 #include "tensor/tensor.h"
 
@@ -28,8 +28,11 @@ struct CrayfishDataBatch {
 
   /// Full JSON serialization ({"id":..,"ts":..,"shape":[..],"data":[..]})
   /// with fixed 3-decimal values, matching the generator's wire-size
-  /// accounting (~4 bytes/element).
+  /// accounting (~4 bytes/element). The codec and its exact-bytes contract
+  /// live in common/batch_json.h.
   std::string ToJson() const;
+  /// The same bytes, built in place as a record payload.
+  crayfish::Bytes ToJsonBytes() const;
   static crayfish::StatusOr<CrayfishDataBatch> FromJson(
       const std::string& text);
 

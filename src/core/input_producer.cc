@@ -44,10 +44,9 @@ void InputProducer::EmitNext() {
     broker::Record record;
     if (options_.materialize_payloads) {
       CrayfishDataBatch batch = generator_.NextMaterialized(sim_->Now());
-      const std::string json = batch.ToJson();
       record.batch_id = batch.id;
       record.create_time = batch.created_at;
-      record.SetPayload(Bytes(json.begin(), json.end()));
+      record.SetPayload(batch.ToJsonBytes());
       record.wire_size = record.payload->size();
     } else {
       CrayfishDataBatch batch = generator_.NextMetadataOnly(sim_->Now());

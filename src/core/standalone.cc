@@ -139,6 +139,10 @@ crayfish::StatusOr<ExperimentResult> RunStandaloneFlink(
     (*emit_ptr)();
   });
   sim.Run(config.duration_s + config.drain_s);
+  // Both loops hold shared_ptrs to themselves (and emit to process); empty
+  // the functions so the cycles free once the pending events are dropped.
+  *emit_ptr = nullptr;
+  *process_ptr = nullptr;
 
   ExperimentResult result;
   result.measurements = *measurements;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/json.h"
+#include "common/batch_json.h"
 #include "common/logging.h"
 #include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
 #include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
@@ -189,25 +189,17 @@ void StreamEngine::MaybeRealApply(const broker::Record& record) {
       scoring_.library == nullptr || !scoring_.library->loaded()) {
     return;
   }
-  // Parse the CrayfishDataBatch JSON payload into a [batch, ...] tensor.
-  const std::string json(record.payload->begin(), record.payload->end());
-  auto doc = crayfish::JsonValue::Parse(json);
-  CRAYFISH_CHECK(doc.ok()) << doc.status().ToString();
-  const crayfish::JsonValue* shape = doc->Find("shape");
-  const crayfish::JsonValue* data = doc->Find("data");
-  CRAYFISH_CHECK(shape != nullptr && data != nullptr)
-      << "payload is not a CrayfishDataBatch";
+  // Decode the CrayfishDataBatch JSON payload into a [batch, ...] tensor.
+  const Bytes& payload = *record.payload;
+  auto batch = crayfish::DecodeBatchJson(std::string_view(
+      reinterpret_cast<const char*>(payload.data()), payload.size()));
+  CRAYFISH_CHECK(batch.ok()) << batch.status().ToString();
   std::vector<int64_t> dims;
+  dims.reserve(batch->shape.size() + 1);
   dims.push_back(static_cast<int64_t>(record.batch_size));
-  for (const crayfish::JsonValue& d : shape->as_array()) {
-    dims.push_back(d.as_int());
-  }
-  std::vector<float> values;
-  values.reserve(data->size());
-  for (const crayfish::JsonValue& v : data->as_array()) {
-    values.push_back(static_cast<float>(v.as_number()));
-  }
-  tensor::Tensor input(tensor::Shape(std::move(dims)), std::move(values));
+  dims.insert(dims.end(), batch->shape.begin(), batch->shape.end());
+  tensor::Tensor input(tensor::Shape(std::move(dims)),
+                       std::move(batch->data));
   auto out = scoring_.library->Apply(input);
   CRAYFISH_CHECK(out.ok()) << out.status().ToString();
   CRAYFISH_CHECK_EQ(out->shape()[0],

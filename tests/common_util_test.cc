@@ -73,6 +73,34 @@ TEST(BytesTest, EmptyStringAndArray) {
   EXPECT_TRUE(r.GetF32Array()->empty());
 }
 
+TEST(BytesTest, EmptyVectorArrayRoundTripsBetweenValues) {
+  // An empty vector's data() may be null; the codec must not hand it to
+  // memcpy on either side.
+  const std::vector<float> empty;
+  ByteWriter w;
+  w.PutF32Array(empty.data(), empty.size());
+  w.PutU32(7);
+  w.PutF32Array(empty.data(), 0);
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(r.GetF32Array()->empty());
+  EXPECT_EQ(*r.GetU32(), 7u);
+  EXPECT_TRUE(r.GetF32Array()->empty());
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BytesTest, HugeLengthPrefixesAreCorruptionNotWraparound) {
+  // Lengths whose byte count wraps size_t must not pass the bounds check.
+  ByteWriter w;
+  w.PutU64(~0ULL / sizeof(float) + 2);
+  w.PutU32(0);
+  ByteReader arrays(w.bytes());
+  EXPECT_EQ(arrays.GetF32Array().status().code(), StatusCode::kCorruption);
+  ByteWriter b;
+  b.PutU64(~0ULL);
+  ByteReader blocks(b.bytes());
+  EXPECT_EQ(blocks.GetBlock().status().code(), StatusCode::kCorruption);
+}
+
 // ---------------------------------------------------------------- config --
 
 TEST(ConfigTest, ParsesProperties) {

@@ -1,11 +1,17 @@
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 
+#include "batch_json_reference.h"
 #include "broker/cluster.h"
+#include "common/rng.h"
 #include "core/data_batch.h"
 #include "core/generator.h"
 #include "core/input_producer.h"
@@ -45,6 +51,146 @@ TEST(DataBatchTest, RejectsMalformedJson) {
       CrayfishDataBatch::FromJson(R"({"shape":[2],"data":[1,2,3]})").ok());
   EXPECT_FALSE(
       CrayfishDataBatch::FromJson(R"({"shape":["x"],"data":[]})").ok());
+}
+
+// Values whose "%.3f" spelling is easy to get wrong: signs that round to
+// zero, binary-exact .0005 ties (round half to even on the exact value),
+// decimal ties that are not exact in binary, the float range's ends and
+// the non-finite values.
+std::vector<float> EdgeValues() {
+  return {0.0f,     -0.0f,    0.0004f,  -0.0004f, 0.0005f,  -0.0005f,
+          0.0015f,  0.0625f,  0.1875f,  -0.0625f, 2.0005f,  0.9995f,
+          0.99949f, 1.0f / 3, -2.5f,    1e-5f,    -1e-5f,   1e6f,
+          -1e6f,    123456.79f, 16777216.0f,
+          std::numeric_limits<float>::max(),
+          -std::numeric_limits<float>::max(),
+          std::numeric_limits<float>::min(),
+          std::numeric_limits<float>::denorm_min(),
+          -std::numeric_limits<float>::denorm_min(),
+          std::numeric_limits<float>::quiet_NaN(),
+          -std::numeric_limits<float>::quiet_NaN(),
+          std::numeric_limits<float>::infinity(),
+          -std::numeric_limits<float>::infinity()};
+}
+
+TEST(DataBatchTest, EncodesEdgeValuesExactlyLikePrintf) {
+  CrayfishDataBatch batch;
+  batch.shape = {1};
+  batch.data = EdgeValues();
+  const std::vector<double> stamps = {
+      0.0,    1.5,     5e-7,    -5e-7,    2.5e-6,  1e-7,
+      3.0000005, 123456.1234565, 1e300, -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::infinity()};
+  const std::vector<uint64_t> ids = {0, 1, 42, 18446744073709551615ULL};
+  for (uint64_t id : ids) {
+    for (double ts : stamps) {
+      batch.id = id;
+      batch.created_at = ts;
+      EXPECT_EQ(batch.ToJson(), crayfish::reference::ReferenceEncode(
+                                    id, ts, batch.shape, batch.data))
+          << "id " << id << " ts " << ts;
+      const Bytes bytes = batch.ToJsonBytes();
+      EXPECT_EQ(std::string(bytes.begin(), bytes.end()), batch.ToJson());
+    }
+  }
+  // Pinned spellings, independent of the reference.
+  batch.id = 7;
+  batch.created_at = 0.25;
+  batch.shape = {2, 3};
+  batch.data = {-0.0004f, 0.0625f, 0.1875f, -0.0f, 1e6f, 0.9995f};
+  EXPECT_EQ(batch.ToJson(),
+            "{\"id\":7,\"ts\":0.250000,\"shape\":[2,3],\"data\":"
+            "[-0.000,0.062,0.188,-0.000,1000000.000,0.999]}");
+  batch.shape = {2};
+  batch.data = {std::numeric_limits<float>::quiet_NaN(),
+                -std::numeric_limits<float>::infinity()};
+  EXPECT_EQ(batch.ToJson(),
+            "{\"id\":7,\"ts\":0.250000,\"shape\":[2],\"data\":"
+            "[nan,-inf]}");
+  batch.shape = {};
+  batch.data = {};
+  EXPECT_EQ(batch.ToJson(),
+            "{\"id\":7,\"ts\":0.250000,\"shape\":[],\"data\":[]}");
+}
+
+// Random batches over many magnitudes and near-ties: the encoding equals
+// the snprintf reference and decoding it is bit-equal to the JsonValue-tree
+// decode.
+TEST(DataBatchTest, RandomBatchesMatchPrintfAndTreeDecode) {
+  crayfish::Rng rng(20240613);
+  const std::vector<float> edges = EdgeValues();
+  std::vector<float> finite_edges;
+  std::copy_if(edges.begin(), edges.end(), std::back_inserter(finite_edges),
+               [](float v) { return std::isfinite(v); });
+  int decoded = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    // One batch in five may carry nan/inf, which only the encoder handles.
+    const std::vector<float>& pool =
+        rng.Bernoulli(0.2) ? edges : finite_edges;
+    CrayfishDataBatch batch;
+    batch.id = rng.NextUint64();
+    batch.created_at = rng.Uniform(-1.0, 1.0) *
+                       std::pow(10.0, static_cast<double>(
+                                          rng.NextUint64(14)) - 6.0);
+    const size_t rank = 1 + rng.NextUint64(3);
+    for (size_t i = 0; i < rank; ++i) {
+      batch.shape.push_back(1 + static_cast<int64_t>(rng.NextUint64(5)));
+    }
+    const int64_t n = batch.elements_per_sample() *
+                      (1 + static_cast<int64_t>(rng.NextUint64(4)));
+    for (int64_t i = 0; i < n; ++i) {
+      float v = 0.0f;
+      switch (rng.NextUint64(4)) {
+        case 0:  // the generator's distribution
+          v = static_cast<float>(rng.NextDouble());
+          break;
+        case 1:  // any magnitude from 1e-5 to 1e6
+          v = static_cast<float>(
+              rng.Gaussian(0.0, 1.0) *
+              std::pow(10.0, rng.Uniform(-5.0, 6.0)));
+          break;
+        case 2: {  // next to a .0005 tie
+          const double tie =
+              (static_cast<double>(rng.NextUint64(2000000)) - 1e6 + 0.5) /
+              1000.0;
+          v = std::nextafter(static_cast<float>(tie),
+                             rng.Bernoulli(0.5) ? 1e9f : -1e9f);
+          if (rng.Bernoulli(0.3)) v = static_cast<float>(tie);
+          // Odd sixteenths are the ties that are exact in binary.
+          if (rng.Bernoulli(0.3)) {
+            v = static_cast<float>(
+                    2 * static_cast<int64_t>(rng.NextUint64(16000)) + 1 -
+                    16000) /
+                16.0f;
+          }
+          break;
+        }
+        default:
+          v = pool[rng.NextUint64(pool.size())];
+      }
+      batch.data.push_back(v);
+    }
+    const std::string json = batch.ToJson();
+    ASSERT_EQ(json, crayfish::reference::ReferenceEncode(
+                        batch.id, batch.created_at, batch.shape, batch.data));
+    auto codec = crayfish::DecodeBatchJson(json);
+    auto tree = crayfish::reference::ReferenceDecode(json);
+    // "nan" and "inf" are not JSON numbers, so neither decoder reads them.
+    const bool finite = std::all_of(batch.data.begin(), batch.data.end(),
+                                    [](float v) { return std::isfinite(v); });
+    ASSERT_EQ(codec.ok(), finite) << codec.status().ToString();
+    ASSERT_EQ(tree.ok(), finite) << tree.status().ToString();
+    if (!finite) continue;
+    ++decoded;
+    EXPECT_TRUE(crayfish::reference::SameBits(*codec, *tree)) << json;
+    auto back = CrayfishDataBatch::FromJson(json);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->shape, batch.shape);
+    EXPECT_EQ(back->data.size(), batch.data.size());
+  }
+  EXPECT_GT(decoded, 300);
 }
 
 TEST(DataBatchTest, TensorRoundTrip) {

@@ -4,8 +4,9 @@
 //
 //  1. DES micro — events/sec through the event queue. Baseline: the old
 //     std::function action + std::priority_queue design. Optimized: the
-//     real sim::EventQueue (InlineAction SBO + implicit 4-ary min-heap
-//     with a reused backing store).
+//     real sim::EventQueue (InlineAction SBO; an implicit 4-ary min-heap
+//     of 24-byte (time, seq, slot) keys, with each action parked once in
+//     a reused slot array).
 //  2. Records — records/sec through a producer → log → fan-out-consumer
 //     delivery chain. Baseline: payload bytes copied per delivery (the
 //     old Bytes-by-value Record). Optimized: the real broker::Record,

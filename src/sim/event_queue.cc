@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,37 +10,39 @@ namespace crayfish::sim {
 
 uint64_t EventQueue::Push(SimTime time, InlineAction action) {
   const uint64_t seq = next_seq_++;
-  heap_.push_back(Event{time, seq, std::move(action)});
+  if (size_ == slots_.size()) {
+    // No free slot: add one, with its free-list entry just past the heap.
+    CRAYFISH_CHECK_LT(slots_.size(), std::numeric_limits<uint32_t>::max());
+    heap_.push_back(Key{0.0, 0, static_cast<uint32_t>(slots_.size())});
+    slots_.emplace_back();
+  }
+  const Key key{time, seq, heap_[size_].slot};
+  slots_[key.slot] = std::move(action);
   // Sift up with a hole: most events are scheduled later than their parent
   // (DES schedules into the future), so the common case is zero moves.
-  size_t i = heap_.size() - 1;
-  if (i > 0 && Before(heap_[i], heap_[(i - 1) / kArity])) {
-    Event v = std::move(heap_[i]);
-    do {
-      const size_t parent = (i - 1) / kArity;
-      if (!Before(v, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    } while (i > 0);
-    heap_[i] = std::move(v);
+  size_t i = size_++;
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!Before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = key;
   return seq;
 }
 
 SimTime EventQueue::next_time() const {
-  CRAYFISH_CHECK(!heap_.empty());
+  CRAYFISH_CHECK(size_ > 0);
   return heap_.front().time;
 }
 
 Event EventQueue::Pop() {
-  CRAYFISH_CHECK(!heap_.empty());
-  Event top = std::move(heap_.front());
-  Event last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    // Sift `last` down from the root with a hole; the vector keeps its
-    // capacity, so the heap's storage is reused for the whole run.
-    const size_t n = heap_.size();
+  CRAYFISH_CHECK(size_ > 0);
+  const Key top = heap_.front();
+  const Key last = heap_[--size_];
+  const size_t n = size_;
+  if (n > 0) {
+    // Sift `last` down from the root with a hole.
     size_t i = 0;
     for (;;) {
       const size_t first_child = kArity * i + 1;
@@ -50,12 +53,14 @@ Event EventQueue::Pop() {
         if (Before(heap_[c], heap_[best])) best = c;
       }
       if (!Before(heap_[best], last)) break;
-      heap_[i] = std::move(heap_[best]);
+      heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = std::move(last);
+    heap_[i] = last;
   }
-  return top;
+  // The popped slot heads the free list; its action leaves before it runs.
+  heap_[n] = top;
+  return Event{top.time, top.seq, std::move(slots_[top.slot])};
 }
 
 }  // namespace crayfish::sim

@@ -21,13 +21,19 @@ struct Event {
   InlineAction action;
 };
 
-/// Min-heap of events ordered by (time, seq).
+/// Min-queue of events ordered by (time, seq).
 ///
-/// Implemented as an implicit 4-ary heap over a flat vector rather than
-/// std::priority_queue: the wider node fans out the comparison work across
-/// one cache line of children (sift-down does ~half the levels of a binary
-/// heap), Pop() can move the root out instead of copying it, and the
-/// backing store's capacity is reused across the whole run.
+/// The implicit 4-ary heap orders only 24-byte {time, seq, slot} keys; each
+/// event's InlineAction is parked once in a reused slot array and never
+/// moves while the event is pending. Sifting a key is a plain copy, where
+/// sifting a whole Event would relocate its action through an indirect
+/// call at every heap level. Real runs keep deep queues (about 1,400
+/// pending in the Table 4 overload cell, almost all parked poll and fetch
+/// timeouts), so each pop would otherwise drag several actions.
+///
+/// Pop() moves the action out of its slot before the caller runs it: a
+/// running action may Push enough events to grow the slot array, so it
+/// must not execute from inside that array.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -37,26 +43,42 @@ class EventQueue {
   /// call sites, not by the queue).
   uint64_t Push(SimTime time, InlineAction action);
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
   SimTime next_time() const;
 
-  /// Removes and returns the earliest event.
+  /// Removes and returns the earliest event; its slot is free for reuse.
   Event Pop();
 
-  /// Pre-sizes the backing store (events are reused in place; this only
-  /// avoids the first few vector growths of a large run).
-  void Reserve(size_t n) { heap_.reserve(n); }
+  /// Pre-sizes the key heap and the slot array (both are reused for the
+  /// whole run; this only avoids the first few growths of a large run).
+  void Reserve(size_t n) {
+    heap_.reserve(n);
+    slots_.reserve(n);
+  }
 
  private:
   static constexpr size_t kArity = 4;
 
-  static bool Before(const Event& a, const Event& b) {
+  struct Key {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
+  static bool Before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  std::vector<Event> heap_;
+  /// heap_[0, size_) is the heap. heap_[size_, end) is the LIFO free
+  /// list: each entry's `slot` is a free slot, the most recently freed
+  /// first. So heap_ and slots_ always have the same length.
+  std::vector<Key> heap_;
+  size_t size_ = 0;
+  /// Parked actions, indexed by Key::slot. A free slot holds an empty
+  /// action.
+  std::vector<InlineAction> slots_;
   uint64_t next_seq_ = 0;
 };
 

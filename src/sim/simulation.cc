@@ -1,5 +1,7 @@
 #include "sim/simulation.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 #include "obs/timeline.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
 
@@ -8,11 +10,15 @@ namespace crayfish::sim {
 Simulation::Simulation(uint64_t seed) : seed_(seed), rng_(seed) {}
 
 void Simulation::Schedule(SimTime delay, InlineAction action) {
+  // A NaN key is unordered against every other key and would silently
+  // break the heap invariant; fail at the call site instead.
+  CRAYFISH_CHECK(!std::isnan(delay)) << "Schedule: delay is " << delay;
   if (delay < 0.0) delay = 0.0;
   queue_.Push(now_ + delay, std::move(action));
 }
 
 void Simulation::ScheduleAt(SimTime time, InlineAction action) {
+  CRAYFISH_CHECK(!std::isnan(time)) << "ScheduleAt: time is " << time;
   if (time < now_) time = now_;
   queue_.Push(time, std::move(action));
 }

@@ -39,11 +39,12 @@ class Simulation {
   /// Schedules `action` to run `delay` seconds from now. Negative delays
   /// clamp to zero (fire at the current instant, after pending same-time
   /// events). Accepts any void() callable; captures up to
-  /// InlineAction::kInlineBytes are stored without allocating.
+  /// InlineAction::kInlineBytes are stored without allocating. CHECK-fails
+  /// on a NaN delay.
   void Schedule(SimTime delay, InlineAction action);
 
   /// Schedules `action` at an absolute time; times before Now() clamp to
-  /// Now().
+  /// Now(). CHECK-fails on a NaN time.
   void ScheduleAt(SimTime time, InlineAction action);
 
   /// Registers a simulated host name and returns its id; registering the

@@ -1,8 +1,14 @@
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/resource.h"
@@ -19,6 +25,123 @@ TEST(EventQueueTest, OrdersByTimeThenSequence) {
   q.Push(1.0, [&] { order.push_back(11); });  // same time, later seq
   while (!q.empty()) q.Pop().action();
   EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
+}
+
+// Differential check of the kernel's ordering against a reference
+// (time, seq) sort. Rounds interleave outside scheduling with partial
+// Run(until) drains, and fired actions schedule children, so pushes and
+// pops interleave the way real runs do and freed slots are reused. Times
+// sit on a 1/8 s grid (many exact ties), and some requests lie in the
+// past (ScheduleAt) or have negative delays (Schedule): both clamp to now.
+TEST(EventQueueTest, MatchesReferenceSortUnderInterleavedPushPop) {
+  Simulation sim;
+  Rng rng(20240917);
+  // (time, seq, id) — the seq mirrors the kernel's scheduling counter.
+  std::set<std::tuple<SimTime, uint64_t, int>> pending;
+  uint64_t next_seq = 0;
+  int next_id = 0;
+  int fired = 0;
+
+  std::function<void()> schedule_random = [&] {
+    const int id = next_id++;
+    const SimTime grid = 0.125 * static_cast<double>(rng.NextUint64(16));
+    auto action = [&, id] {
+      ASSERT_FALSE(pending.empty());
+      const auto& [time, seq, expected_id] = *pending.begin();
+      EXPECT_EQ(id, expected_id);
+      EXPECT_EQ(sim.Now(), time);
+      pending.erase(pending.begin());
+      ++fired;
+      for (uint64_t k = rng.NextUint64(5) / 2; k > 0; --k) schedule_random();
+    };
+    SimTime at;
+    if (rng.Bernoulli(0.5)) {
+      const SimTime delay = rng.Bernoulli(0.2) ? -grid : grid;
+      at = sim.Now() + (delay < 0.0 ? 0.0 : delay);
+      sim.Schedule(delay, action);
+    } else {
+      const SimTime time = sim.Now() + grid - 1.0;  // past when grid < 1
+      at = time < sim.Now() ? sim.Now() : time;
+      sim.ScheduleAt(time, action);
+    }
+    pending.emplace(at, next_seq++, id);
+  };
+
+  for (int round = 0; round < 400; ++round) {
+    for (uint64_t k = rng.NextUint64(6); k > 0; --k) schedule_random();
+    const SimTime until = sim.Now() + 0.125 * rng.NextUint64(6);
+    sim.Run(until);
+    ASSERT_EQ(sim.pending_events(), pending.size());
+    if (!pending.empty()) {
+      EXPECT_GT(std::get<0>(*pending.begin()), until);
+    }
+  }
+  sim.RunUntilIdle();
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(fired, next_id);
+  EXPECT_GT(fired, 1000);
+}
+
+// A running action schedules enough events to grow the slot array many
+// times over. The action reads its own captures afterwards, which is only
+// sound because the queue moved it out of its slot before it ran (under
+// ASan, running it in place is a heap-use-after-free).
+TEST(EventQueueTest, ActionMayGrowSlotArrayWhileRunning) {
+  Simulation sim;
+  std::vector<int> order;
+  const uint64_t marker = 0xC0FFEE;
+  sim.Schedule(1.0, [&sim, &order, marker] {
+    for (int i = 0; i < 1000; ++i) {
+      sim.Schedule(1.0 + 0.001 * (i % 7), [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(marker, 0xC0FFEEu);
+    order.push_back(-1);
+  });
+  EXPECT_EQ(sim.RunUntilIdle(), 1001u);
+  ASSERT_EQ(order.size(), 1001u);
+  EXPECT_EQ(order.front(), -1);
+  // Children fire by (time, seq): offset class i % 7, then scheduling order.
+  std::vector<int> expected;
+  for (int offset = 0; offset < 7; ++offset) {
+    for (int i = offset; i < 1000; i += 7) expected.push_back(i);
+  }
+  EXPECT_EQ(std::vector<int>(order.begin() + 1, order.end()), expected);
+}
+
+// A callable that counts how often the queue relocates it.
+struct MoveCounter {
+  static inline uint64_t moves = 0;
+  MoveCounter() = default;
+  MoveCounter(MoveCounter&&) noexcept { ++moves; }
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  void operator()() {}
+};
+
+// Relocations per event in a steady state of one pop and one push per
+// event, with `depth` events pending throughout.
+uint64_t MovesForSteadyState(size_t depth, int events) {
+  EventQueue q;
+  Rng rng(99);
+  for (size_t i = 0; i < depth; ++i) q.Push(rng.NextDouble(), MoveCounter{});
+  MoveCounter::moves = 0;
+  for (int k = 0; k < events; ++k) {
+    Event e = q.Pop();
+    e.action();
+    q.Push(e.time + rng.NextDouble(), MoveCounter{});
+  }
+  return MoveCounter::moves;
+}
+
+// Actions are parked once and only keys are sifted, so the number of
+// relocations per event must not grow with queue depth.
+TEST(EventQueueTest, ActionMovesPerEventIndependentOfDepth) {
+  constexpr int kEvents = 4096;
+  const uint64_t shallow = MovesForSteadyState(64, kEvents);
+  const uint64_t deep = MovesForSteadyState(65536, kEvents);
+  EXPECT_GT(shallow, 0u);
+  EXPECT_EQ(shallow, deep) << "moves/event: shallow "
+                           << static_cast<double>(shallow) / kEvents
+                           << ", deep " << static_cast<double>(deep) / kEvents;
 }
 
 TEST(SimulationTest, ClockAdvancesMonotonically) {
@@ -56,6 +179,13 @@ TEST(SimulationTest, NegativeDelayClampsToNow) {
     sim.Schedule(-5.0, [&] { EXPECT_DOUBLE_EQ(sim.Now(), 1.0); });
   });
   sim.RunUntilIdle();
+}
+
+TEST(SimulationDeathTest, NaNDelayOrTimeIsRejected) {
+  Simulation sim;
+  const SimTime nan = std::numeric_limits<SimTime>::quiet_NaN();
+  EXPECT_DEATH(sim.Schedule(nan, [] {}), "Schedule: delay is -?nan");
+  EXPECT_DEATH(sim.ScheduleAt(nan, [] {}), "ScheduleAt: time is -?nan");
 }
 
 TEST(SimulationTest, StopInterruptsRun) {

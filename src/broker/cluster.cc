@@ -79,13 +79,15 @@ crayfish::StatusOr<int> KafkaCluster::NumPartitions(
   return it->second.partition_count;
 }
 
-const std::string& KafkaCluster::LeaderHost(const TopicPartition& tp) const {
+size_t KafkaCluster::LeaderIndex(const TopicPartition& tp) const {
   // Round-robin leadership: partition p of any topic lives on broker
   // p % num_brokers, which spreads a 32-partition topic evenly over the
   // 4-broker cluster.
-  const size_t idx =
-      static_cast<size_t>(tp.partition) % broker_hosts_.size();
-  return broker_hosts_[idx];
+  return static_cast<size_t>(tp.partition) % broker_hosts_.size();
+}
+
+const std::string& KafkaCluster::LeaderHost(const TopicPartition& tp) const {
+  return broker_hosts_[LeaderIndex(tp)];
 }
 
 bool KafkaCluster::IsBrokerUp(int broker_index) const {
@@ -161,6 +163,27 @@ uint64_t KafkaCluster::BatchWireSize(const std::vector<Record>& batch) const {
   return total;
 }
 
+void KafkaCluster::CountTraffic(size_t broker, bool inbound, uint64_t bytes,
+                                size_t records) {
+  obs::MetricsRegistry* reg = sim_->metrics();
+  if (reg == nullptr) return;
+  if (reg != counters_registry_) {
+    counters_registry_ = reg;
+    broker_counters_.assign(broker_hosts_.size(), BrokerCounters{});
+  }
+  TrafficCounters& c =
+      inbound ? broker_counters_[broker].in : broker_counters_[broker].out;
+  if (c.bytes == nullptr) {
+    const obs::MetricLabels labels = {{"broker", broker_hosts_[broker]}};
+    c.bytes =
+        reg->Counter(inbound ? "broker_bytes_in" : "broker_bytes_out", labels);
+    c.records = reg->Counter(
+        inbound ? "broker_records_in" : "broker_records_out", labels);
+  }
+  c.bytes->Increment(static_cast<double>(bytes));
+  c.records->Increment(static_cast<double>(records));
+}
+
 void KafkaCluster::Produce(const std::string& client_host,
                            const TopicPartition& tp,
                            std::vector<Record> batch,
@@ -195,12 +218,8 @@ void KafkaCluster::Produce(const std::string& client_host,
                    });
     return;
   }
-  if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_in", {{"broker", leader}})
-        ->Increment(static_cast<double>(request_bytes));
-    reg->Counter("broker_records_in", {{"broker", leader}})
-        ->Increment(static_cast<double>(batch.size()));
-  }
+  CountTraffic(LeaderIndex(tp), /*inbound=*/true, request_bytes,
+               batch.size());
   // Client -> broker transfer, then broker-side append, then ack back.
   network_->Send(
       client_host, leader, request_bytes,
@@ -346,14 +365,9 @@ void KafkaCluster::AnswerFetch(const TopicPartition& tp, PendingFetch fetch) {
       part.Fetch(offset, fetch.max_records, fetch.max_bytes, &records);
   if (!s.ok()) records.clear();
   const uint64_t response_bytes = 256 + BatchWireSize(records);
-  const std::string leader = LeaderHost(tp);
-  if (obs::MetricsRegistry* reg = sim_->metrics()) {
-    reg->Counter("broker_bytes_out", {{"broker", leader}})
-        ->Increment(static_cast<double>(response_bytes));
-    reg->Counter("broker_records_out", {{"broker", leader}})
-        ->Increment(static_cast<double>(records.size()));
-  }
-  network_->Send(leader, fetch.client_host, response_bytes,
+  CountTraffic(LeaderIndex(tp), /*inbound=*/false, response_bytes,
+               records.size());
+  network_->Send(LeaderHost(tp), fetch.client_host, response_bytes,
                  [on_records = std::move(fetch.on_records),
                   records = std::move(records)]() mutable {
                    if (on_records) on_records(std::move(records));

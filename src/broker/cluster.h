@@ -15,6 +15,11 @@
 #include "sim/network.h"
 #include "sim/simulation.h"
 
+namespace crayfish::obs {
+class CounterMetric;
+class MetricsRegistry;
+}  // namespace crayfish::obs
+
 namespace crayfish::broker {
 
 /// Cluster-level configuration, matching the paper's deployment (§4.2/§4.3):
@@ -210,6 +215,9 @@ class KafkaCluster {
     std::vector<std::unique_ptr<PartitionState>> parts;
   };
 
+  /// Index into `broker_hosts_` of the leader of `tp`.
+  size_t LeaderIndex(const TopicPartition& tp) const;
+
   /// Materializes (or returns) partition `partition`'s state.
   PartitionState& EnsurePart(TopicState& state, int partition);
 
@@ -219,6 +227,11 @@ class KafkaCluster {
   void AnswerFetch(const TopicPartition& tp, PendingFetch fetch);
   void WakeWaiters(const TopicPartition& tp);
   uint64_t BatchWireSize(const std::vector<Record>& batch) const;
+  /// Adds one request (inbound) or fetch response (outbound) of broker
+  /// `broker` to its `broker_{bytes,records}_{in,out}` counters in the
+  /// attached metrics registry, if any.
+  void CountTraffic(size_t broker, bool inbound, uint64_t bytes,
+                    size_t records);
 
   struct GroupMember {
     int id;
@@ -241,6 +254,21 @@ class KafkaCluster {
   ClusterConfig config_;
   std::vector<std::string> broker_hosts_;
   std::vector<bool> broker_up_;
+  /// Counter handles of one traffic direction of one broker, resolved the
+  /// first time that direction sees traffic, so a broker exports only the
+  /// counters it has earned.
+  struct TrafficCounters {
+    obs::CounterMetric* bytes = nullptr;
+    obs::CounterMetric* records = nullptr;
+  };
+  struct BrokerCounters {
+    TrafficCounters in;
+    TrafficCounters out;
+  };
+  /// Handles into `counters_registry_` (registry pointers are stable);
+  /// reset when a different registry is attached to the simulation.
+  obs::MetricsRegistry* counters_registry_ = nullptr;
+  std::vector<BrokerCounters> broker_counters_;
   /// Set once during setup, before any client exists; clients read them at
   /// construction only.
   crayfish::RetryPolicy client_retry_;

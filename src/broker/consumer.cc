@@ -1,6 +1,7 @@
 #include "broker/consumer.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.h"
 #include "obs/registry.h"  // lint: layering-ok instrumentation hook; obs reads state, never feeds it back
@@ -48,20 +49,33 @@ crayfish::Status KafkaConsumer::Assign(const std::string& topic,
                                        const std::vector<int>& partitions,
                                        int64_t start_offset) {
   CRAYFISH_ASSIGN_OR_RETURN(int total, cluster_->NumPartitions(topic));
+  // Validate the whole list before touching any state, so a rejected call
+  // leaves no partition assigned and no fetch loop running.
+  std::vector<bool> listed(static_cast<size_t>(total), false);
   for (int p : partitions) {
+    const TopicPartition tp{topic, p};
     if (p < 0 || p >= total) {
-      return crayfish::Status::InvalidArgument(
-          "partition out of range: " + topic + "-" + std::to_string(p));
+      return crayfish::Status::InvalidArgument("partition out of range: " +
+                                               tp.ToString());
     }
+    if (listed[static_cast<size_t>(p)]) {
+      return crayfish::Status::InvalidArgument(
+          "partition listed twice: " + tp.ToString());
+    }
+    listed[static_cast<size_t>(p)] = true;
+    if (SlotOf(tp) >= 0) {
+      return crayfish::Status::InvalidArgument("partition already assigned: " +
+                                               tp.ToString());
+    }
+  }
+  for (int p : partitions) {
     TopicPartition tp{topic, p};
-    assignment_.push_back(tp);
     const int64_t pos = start_offset >= 0
                             ? start_offset
                             : cluster_->CommittedOffset(group_, tp);
-    positions_[tp.ToString()] = pos;
-    delivered_[tp.ToString()] = pos;
-    paused_[tp.ToString()] = false;
-    StartFetchLoop(tp);
+    assignment_.push_back(std::move(tp));
+    cursors_.push_back(Cursor{pos, pos});
+    FetchOnce(assignment_.size() - 1);
   }
   return crayfish::Status::Ok();
 }
@@ -107,10 +121,7 @@ void KafkaConsumer::Reassign(const std::string& topic,
   CommitPositions();
   ++(*generation_);
   assignment_.clear();
-  positions_.clear();
-  delivered_.clear();
-  paused_.clear();
-  fetch_attempts_.clear();
+  cursors_.clear();
   buffer_.clear();
   crayfish::Status s = Assign(topic, partitions);
   CRAYFISH_CHECK(s.ok()) << s.ToString();
@@ -129,10 +140,7 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
     topics[tp.topic].push_back(tp.partition);
   }
   assignment_.clear();
-  positions_.clear();
-  delivered_.clear();
-  paused_.clear();
-  fetch_attempts_.clear();
+  cursors_.clear();
   buffer_.clear();
   auto alive = alive_;
   if (pending_poll_) {
@@ -147,8 +155,13 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
                                      [cb = std::move(cb)]() { cb({}); });
   }
   cluster_->simulation()->Schedule(
-      restart_delay_s, [this, alive, topics = std::move(topics)]() {
+      restart_delay_s, [this, alive, rebalances = rebalances_seen_,
+                        topics = std::move(topics)]() {
         if (!*alive || closed_) return;
+        // A rebalance during the restart window already adopted the
+        // coordinator's assignment; restoring the old one on top of it
+        // would assign partitions twice.
+        if (rebalances_seen_ != rebalances) return;
         for (const auto& [topic, parts] : topics) {
           // start_offset -1: resume from the group's committed offsets.
           crayfish::Status s = Assign(topic, parts);
@@ -157,25 +170,22 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
       });
 }
 
-void KafkaConsumer::StartFetchLoop(const TopicPartition& tp) {
-  FetchOnce(tp);
-}
-
-void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
+void KafkaConsumer::FetchOnce(size_t slot) {
   if (closed_) return;
-  const std::string key = tp.ToString();
+  Cursor& cursor = cursors_[slot];
   if (buffer_.size() >= config_.max_buffered_records) {
-    paused_[key] = true;
+    cursor.paused = true;
     return;
   }
   auto generation = generation_;
   const uint64_t my_generation = *generation;
+  const TopicPartition& tp = assignment_[slot];
   if (retry_.enabled() && !cluster_->LeaderAvailable(tp)) {
     // Leader down: back off instead of hammering the dead broker. The loop
     // never gives up — max_retries only caps the backoff exponent.
-    const int attempt = std::min(fetch_attempts_[key],
-                                 retry_.max_retries - 1);
-    ++fetch_attempts_[key];
+    const int attempt =
+        std::min(cursor.fetch_attempts, retry_.max_retries - 1);
+    ++cursor.fetch_attempts;
     ++retries_;
     if (obs::MetricsRegistry* reg = cluster_->simulation()->metrics()) {
       reg->Counter("fault_retries", {{"component", "consumer"}})
@@ -186,21 +196,20 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
     }
     cluster_->simulation()->Schedule(
         retry_.BackoffFor(attempt, &*rng_),
-        [this, generation, my_generation, tp]() {
+        [this, generation, my_generation, slot]() {
           if (*generation != my_generation) return;
-          FetchOnce(tp);
+          FetchOnce(slot);
         });
     return;
   }
-  fetch_attempts_[key] = 0;
-  const int64_t offset = positions_[key];
+  cursor.fetch_attempts = 0;
   cluster_->Fetch(
-      client_host_, tp, offset, config_.fetch_max_records,
+      client_host_, tp, cursor.position, config_.fetch_max_records,
       config_.fetch_max_bytes, config_.fetch_max_wait_s,
-      [this, tp, generation, my_generation](std::vector<Record> records) {
+      [this, slot, generation, my_generation](std::vector<Record> records) {
         if (*generation != my_generation) return;  // closed/reassigned
         if (!records.empty()) {
-          positions_[tp.ToString()] = records.back().offset + 1;
+          cursors_[slot].position = records.back().offset + 1;
           // The fetch response has reached the client: the long-poll /
           // transfer stage of each carried batch ends here.
           if (obs::TraceRecorder* tracer =
@@ -214,7 +223,7 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
           const double deser = config_.deserialize_per_record_s *
                                static_cast<double>(records.size());
           cluster_->simulation()->Schedule(
-              deser, [this, generation, my_generation, tp,
+              deser, [this, generation, my_generation, slot,
                       records = std::move(records)]() mutable {
                 if (*generation != my_generation) return;
                 if (obs::TraceRecorder* tracer =
@@ -224,16 +233,15 @@ void KafkaConsumer::FetchOnce(const TopicPartition& tp) {
                     tracer->Mark(r.batch_id, obs::Stage::kDeserialize, now);
                   }
                 }
-                const std::string key = tp.ToString();
                 for (Record& r : records) {
-                  buffer_.push_back(BufferedRecord{key, std::move(r)});
+                  buffer_.push_back(BufferedRecord{slot, std::move(r)});
                 }
                 MaybeDeliver();
-                FetchOnce(tp);
+                FetchOnce(slot);
               });
           return;
         }
-        FetchOnce(tp);
+        FetchOnce(slot);
       });
 }
 
@@ -286,8 +294,8 @@ void KafkaConsumer::MaybeDeliver() {
     BufferedRecord& front = buffer_.front();
     // Fetch responses arrive in offset order per partition, so the
     // delivered high-water mark only ever advances.
-    delivered_[front.tp_key] =
-        std::max(delivered_[front.tp_key], front.record.offset + 1);
+    int64_t& delivered = cursors_[front.slot].delivered;
+    delivered = std::max(delivered, front.record.offset + 1);
     out.push_back(std::move(front.record));
     buffer_.pop_front();
   }
@@ -302,18 +310,17 @@ void KafkaConsumer::MaybeDeliver() {
 
 void KafkaConsumer::ResumePausedLoops() {
   if (buffer_.size() >= config_.max_buffered_records) return;
-  for (const TopicPartition& tp : assignment_) {
-    bool& paused = paused_[tp.ToString()];
-    if (paused) {
-      paused = false;
-      FetchOnce(tp);
+  for (size_t slot = 0; slot < cursors_.size(); ++slot) {
+    if (cursors_[slot].paused) {
+      cursors_[slot].paused = false;
+      FetchOnce(slot);
     }
   }
 }
 
 void KafkaConsumer::CommitPositions() {
-  for (const TopicPartition& tp : assignment_) {
-    cluster_->CommitOffset(group_, tp, delivered_[tp.ToString()]);
+  for (size_t slot = 0; slot < cursors_.size(); ++slot) {
+    cluster_->CommitOffset(group_, assignment_[slot], cursors_[slot].delivered);
   }
 }
 
@@ -328,35 +335,47 @@ void KafkaConsumer::Close() {
   }
 }
 
+int KafkaConsumer::SlotOf(const TopicPartition& tp) const {
+  for (size_t slot = 0; slot < assignment_.size(); ++slot) {
+    if (assignment_[slot] == tp) return static_cast<int>(slot);
+  }
+  return -1;
+}
+
 int64_t KafkaConsumer::position(const TopicPartition& tp) const {
-  auto it = positions_.find(tp.ToString());
-  return it == positions_.end() ? -1 : it->second;
+  const int slot = SlotOf(tp);
+  return slot < 0 ? -1 : cursors_[static_cast<size_t>(slot)].position;
 }
 
 int64_t KafkaConsumer::delivered_position(const TopicPartition& tp) const {
-  auto it = delivered_.find(tp.ToString());
-  return it == delivered_.end() ? -1 : it->second;
+  const int slot = SlotOf(tp);
+  return slot < 0 ? -1 : cursors_[static_cast<size_t>(slot)].delivered;
 }
 
 int64_t KafkaConsumer::PartitionLag(const TopicPartition& tp) const {
-  auto it = delivered_.find(tp.ToString());
-  if (it == delivered_.end()) return 0;
-  auto part_or = cluster_->GetPartition(tp);
+  const int slot = SlotOf(tp);
+  return slot < 0 ? 0 : SlotLag(static_cast<size_t>(slot));
+}
+
+int64_t KafkaConsumer::SlotLag(size_t slot) const {
+  auto part_or = cluster_->GetPartition(assignment_[slot]);
   if (!part_or.ok()) return 0;
-  const int64_t lag = (*part_or)->end_offset() - it->second;
+  const int64_t lag = (*part_or)->end_offset() - cursors_[slot].delivered;
   return lag > 0 ? lag : 0;
 }
 
 int64_t KafkaConsumer::TotalLag() const {
   int64_t total = 0;
-  for (const TopicPartition& tp : assignment_) total += PartitionLag(tp);
+  for (size_t slot = 0; slot < cursors_.size(); ++slot) {
+    total += SlotLag(slot);
+  }
   return total;
 }
 
 int64_t KafkaConsumer::MaxPartitionLag() const {
   int64_t worst = 0;
-  for (const TopicPartition& tp : assignment_) {
-    worst = std::max(worst, PartitionLag(tp));
+  for (size_t slot = 0; slot < cursors_.size(); ++slot) {
+    worst = std::max(worst, SlotLag(slot));
   }
   return worst;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,7 +62,9 @@ class KafkaConsumer {
 
   /// Manual partition assignment (the engines map tasks to partitions
   /// deterministically). Starts fetch loops at the committed offset (or
-  /// `start_offset` when >= 0).
+  /// `start_offset` when >= 0). The whole list is validated first: an
+  /// unknown topic, an out-of-range partition, a duplicate in the list or
+  /// an already-assigned partition fails with nothing assigned.
   crayfish::Status Assign(const std::string& topic,
                           const std::vector<int>& partitions,
                           int64_t start_offset = -1);
@@ -103,7 +104,9 @@ class KafkaConsumer {
   /// `restart_delay_s` the same assignment is re-adopted and fetch sessions
   /// resume from the group's committed offsets, re-processing anything
   /// uncommitted (at-least-once, duplicates possible, no loss). An
-  /// outstanding Poll completes empty once the restart delay elapses.
+  /// outstanding Poll completes empty once the restart delay elapses. If a
+  /// group rebalance lands inside the restart window, its assignment
+  /// stands and the old one is not restored.
   void FailAndRestart(double restart_delay_s);
 
   /// Stops fetch loops; outstanding fetches are dropped on arrival.
@@ -138,9 +141,29 @@ class KafkaConsumer {
   ~KafkaConsumer();
 
  private:
+  /// Fetch-loop state of one assigned partition. `cursors_[i]` belongs to
+  /// `assignment_[i]`: the per-record path indexes by slot and never names
+  /// a partition.
+  struct Cursor {
+    /// Next offset to fetch.
+    int64_t position = 0;
+    /// Next offset after the last *delivered* record; what CommitPositions
+    /// commits.
+    int64_t delivered = 0;
+    /// Fetch loop paused on buffer pressure.
+    bool paused = false;
+    /// Consecutive unavailable-leader backoffs (reset on a healthy fetch).
+    int fetch_attempts = 0;
+  };
 
-  void StartFetchLoop(const TopicPartition& tp);
-  void FetchOnce(const TopicPartition& tp);
+  /// Slot of `tp` in the assignment, or -1 when it is not assigned.
+  int SlotOf(const TopicPartition& tp) const;
+  int64_t SlotLag(size_t slot) const;
+  /// Runs one fetch round for the partition in `slot`. Slots stay valid
+  /// for a generation: the assignment only grows until Reassign,
+  /// FailAndRestart or Close bump the generation, and every scheduled
+  /// continuation drops itself when the generation has moved on.
+  void FetchOnce(size_t slot);
   /// Periodic delivered-offset commit (enable.auto.commit).
   void ScheduleAutoCommit();
   void MaybeDeliver();
@@ -148,10 +171,10 @@ class KafkaConsumer {
   /// Adopts a coordinator assignment (dynamic membership).
   void Reassign(const std::string& topic, std::vector<int> partitions);
 
-  /// A prefetched record plus the partition it came from, so delivery can
-  /// advance that partition's delivered offset.
+  /// A prefetched record plus the slot of the partition it came from, so
+  /// delivery can advance that partition's delivered offset.
   struct BufferedRecord {
-    std::string tp_key;
+    size_t slot;
     Record record;
   };
 
@@ -159,18 +182,10 @@ class KafkaConsumer {
   std::string client_host_;
   std::string group_;
   ConsumerConfig config_;
+  /// Assignment order is the order of commits and paused-loop pickup.
   std::vector<TopicPartition> assignment_;
-  /// Next offset to fetch per partition. Ordered (lint R3): commit order and
-  /// paused-loop pickup follow map iteration and must be deterministic.
-  std::map<std::string, int64_t> positions_;
-  /// Next offset after the last *delivered* record per partition; what
-  /// CommitPositions commits. Ordered (lint R3), same reason as above.
-  std::map<std::string, int64_t> delivered_;
-  /// Partitions whose fetch loop is paused on buffer pressure.
-  std::map<std::string, bool> paused_;
-  /// Consecutive unavailable-leader backoffs per partition (reset on a
-  /// healthy fetch). Ordered (lint R3), same reason as above.
-  std::map<std::string, int> fetch_attempts_;
+  /// Parallel to `assignment_`.
+  std::vector<Cursor> cursors_;
   std::deque<BufferedRecord> buffer_;
   /// Effective retry policy (config override or cluster default).
   crayfish::RetryPolicy retry_;

@@ -129,6 +129,8 @@ class Network {
   /// Sends `bytes` from `from` to `to`; `on_delivered` fires at arrival.
   /// Transfers between a host and itself are instantaneous (loopback).
   /// CHECK-fails on unknown hosts (topology errors are programmer errors).
+  /// Hosts are never removed, so once a pair has a live link the checks
+  /// are skipped: the hot path is one link lookup.
   void Send(const std::string& from, const std::string& to, uint64_t bytes,
             InlineAction on_delivered);
 

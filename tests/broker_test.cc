@@ -9,6 +9,7 @@
 #include "broker/consumer.h"
 #include "broker/partition.h"
 #include "broker/producer.h"
+#include "obs/registry.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
@@ -215,6 +216,74 @@ TEST_F(ClusterTest, OffsetCommitStore) {
   EXPECT_EQ(cluster_.CommittedOffset("other", tp), 0);
 }
 
+struct TrafficSums {
+  double bytes_in = 0, records_in = 0, bytes_out = 0, records_out = 0;
+};
+
+// Produces `records` x 1000 B to partition `p` and fetches them back;
+// adds the request and response sizes to `sums`.
+void ProduceAndFetch(sim::Simulation* sim, KafkaCluster* cluster, int p,
+                     int records, TrafficSums* sums) {
+  const TopicPartition tp{"t", p};
+  const int64_t start = (*cluster->GetPartition(tp))->end_offset();
+  std::vector<Record> batch;
+  for (int i = 0; i < records; ++i) batch.push_back(MakeRecord(i));
+  sums->bytes_in += records * (1000.0 + kRecordEnvelopeBytes);
+  sums->records_in += records;
+  cluster->Produce("client", tp, std::move(batch),
+                   [](crayfish::Status s) { CRAYFISH_CHECK_OK(s); });
+  sim->RunUntilIdle();
+  cluster->Fetch("client", tp, start, 100, 1 << 20, 0.1,
+                 [sums](std::vector<Record> got) {
+                   // A fetch response is a 256-byte header plus records.
+                   sums->bytes_out += 256.0;
+                   for (const Record& r : got) {
+                     sums->bytes_out += static_cast<double>(
+                         r.wire_size + kRecordEnvelopeBytes);
+                   }
+                   sums->records_out += static_cast<double>(got.size());
+                 });
+  sim->RunUntilIdle();
+}
+
+void ExpectBrokerCounters(obs::MetricsRegistry& reg, const std::string& host,
+                          const TrafficSums& sums) {
+  auto value = [&](const char* name) {
+    return reg.Counter(name, {{"broker", host}})->value();
+  };
+  EXPECT_EQ(value("broker_bytes_in"), sums.bytes_in) << host;
+  EXPECT_EQ(value("broker_records_in"), sums.records_in) << host;
+  EXPECT_EQ(value("broker_bytes_out"), sums.bytes_out) << host;
+  EXPECT_EQ(value("broker_records_out"), sums.records_out) << host;
+}
+
+TEST_F(ClusterTest, BrokerTrafficCountersPerBrokerAndPerRegistry) {
+  obs::MetricsRegistry first;
+  sim_.AttachObservability(nullptr, &first);
+  TrafficSums k0, k1;
+  ProduceAndFetch(&sim_, &cluster_, 0, 3, &k0);
+  ProduceAndFetch(&sim_, &cluster_, 1, 2, &k1);
+  ProduceAndFetch(&sim_, &cluster_, 0, 4, &k0);
+  // Four counters for each of the two brokers that saw traffic, none for
+  // kafka-2 or kafka-3.
+  EXPECT_EQ(first.size(), 8u);
+  EXPECT_EQ(first.SnapshotJson().find("kafka-2"), std::string::npos);
+  EXPECT_EQ(first.SnapshotJson().find("kafka-3"), std::string::npos);
+  ExpectBrokerCounters(first, "kafka-0", k0);
+  ExpectBrokerCounters(first, "kafka-1", k1);
+
+  // A registry attached mid-run counts only what happens after it.
+  obs::MetricsRegistry second;
+  sim_.AttachObservability(nullptr, &second);
+  TrafficSums later;
+  ProduceAndFetch(&sim_, &cluster_, 1, 5, &later);
+  EXPECT_EQ(second.size(), 4u);
+  ExpectBrokerCounters(second, "kafka-1", later);
+  EXPECT_EQ(first.size(), 8u);
+  ExpectBrokerCounters(first, "kafka-1", k1);
+  sim_.AttachObservability(nullptr, nullptr);
+}
+
 TEST(RangeAssignTest, CoversAllPartitionsDisjointly) {
   std::vector<int> seen(32, 0);
   for (int m = 0; m < 5; ++m) {
@@ -381,6 +450,154 @@ TEST_F(ClientTest, AssignValidatesPartitions) {
   EXPECT_FALSE(consumer.Assign("ghost", {0}).ok());
 }
 
+TEST_F(ClientTest, AssignRejectsDuplicatePartitions) {
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  crayfish::Status s = consumer.Assign("t", {0, 0});
+  EXPECT_EQ(s.code(), crayfish::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("t-0"), std::string::npos) << s.ToString();
+  EXPECT_TRUE(consumer.assignment().empty());
+
+  ASSERT_TRUE(consumer.Assign("t", {0}).ok());
+  s = consumer.Assign("t", {1, 0});
+  EXPECT_EQ(s.code(), crayfish::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("t-0"), std::string::npos) << s.ToString();
+  ASSERT_EQ(consumer.assignment().size(), 1u);
+  EXPECT_EQ(consumer.position(TopicPartition{"t", 1}), -1);
+
+  // One fetch loop per partition: every record is delivered exactly once.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        producer.SendToPartition(TopicPartition{"t", 0}, MakeRecord(i))
+            .ok());
+  }
+  producer.Flush();
+  size_t got = 0;
+  std::function<void()> poll = [&]() {
+    consumer.Poll(0.5, [&](std::vector<Record> records) {
+      got += records.size();
+      poll();
+    });
+  };
+  poll();
+  sim_.Run(3.0);
+  EXPECT_EQ(got, 10u);
+  EXPECT_EQ(consumer.records_consumed(), 10u);
+}
+
+TEST_F(ClientTest, AssignErrorLeavesNoPartialAssignment) {
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  crayfish::Status s = consumer.Assign("t", {1, 9});
+  EXPECT_EQ(s.code(), crayfish::StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("t-9"), std::string::npos) << s.ToString();
+  EXPECT_TRUE(consumer.assignment().empty());
+  EXPECT_EQ(consumer.position(TopicPartition{"t", 1}), -1);
+
+  // No fetch loop was left running on partition 1, and the queries on an
+  // unassigned partition report "not assigned" although its log has data.
+  const TopicPartition tp{"t", 1};
+  ASSERT_TRUE(producer.SendToPartition(tp, MakeRecord(1)).ok());
+  producer.Flush();
+  sim_.Run(2.0);
+  ASSERT_EQ((*cluster_.GetPartition(tp))->end_offset(), 1);
+  EXPECT_EQ(consumer.buffered(), 0u);
+  EXPECT_EQ(consumer.position(tp), -1);
+  EXPECT_EQ(consumer.delivered_position(tp), -1);
+  EXPECT_EQ(consumer.PartitionLag(tp), 0);
+  EXPECT_EQ(consumer.TotalLag(), 0);
+}
+
+// Per-partition client state is indexed by assignment slot. A rebalance
+// can put a different partition into a slot while a fetch issued for the
+// old occupant is still parked at the broker; its response must not move
+// the new occupant's cursor.
+TEST_F(ClientTest, StaleFetchAfterReassignLeavesReusedSlotAlone) {
+  obs::MetricsRegistry reg;
+  sim_.AttachObservability(nullptr, &reg);
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer a(&cluster_, "client", "dyn");
+  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
+  sim_.Run(0.75);
+  ASSERT_EQ(a.assignment().size(), 4u);
+  ASSERT_EQ(a.assignment()[1].partition, 1);
+
+  // The join rebalances at +50 ms: `a` keeps {0, 2}, so t-2 moves into
+  // slot 1, while a's long-poll on t-1 stays parked (it expires ~1.05 s).
+  KafkaConsumer b(&cluster_, "client", "dyn");
+  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
+  sim_.Schedule(0.06, [&]() {
+    ASSERT_EQ(a.assignment().size(), 2u);
+    ASSERT_EQ(a.assignment()[1].partition, 2);
+    for (int i = 0; i < 5; ++i) {
+      CRAYFISH_CHECK_OK(producer.SendToPartition(TopicPartition{"t", 1},
+                                                 MakeRecord(i)));
+    }
+    producer.Flush();
+  });
+  sim_.Run(1.0);
+
+  // The append woke both b's fetch and a's stale one: 5 records each.
+  EXPECT_EQ(reg.Counter("broker_records_out", {{"broker", "kafka-1"}})
+                ->value(),
+            10.0);
+  EXPECT_EQ(b.position(TopicPartition{"t", 1}), 5);
+  EXPECT_EQ(a.position(TopicPartition{"t", 2}), 0);
+  EXPECT_EQ(a.delivered_position(TopicPartition{"t", 2}), 0);
+  EXPECT_EQ(a.buffered(), 0u);
+  EXPECT_EQ(a.position(TopicPartition{"t", 1}), -1);
+  EXPECT_EQ(a.delivered_position(TopicPartition{"t", 1}), -1);
+  EXPECT_EQ(a.PartitionLag(TopicPartition{"t", 1}), 0);
+  EXPECT_EQ(a.TotalLag(), 0);
+  sim_.AttachObservability(nullptr, nullptr);
+}
+
+TEST_F(ClientTest, StaleFetchAfterRestartLeavesReusedSlotAlone) {
+  // Restart re-assigns topic by topic in name order, so "u" (slot 0 before
+  // the crash) and "t" (slot 1) swap slots.
+  ASSERT_TRUE(cluster_.CreateTopic("u", 1).ok());
+  obs::MetricsRegistry reg;
+  sim_.AttachObservability(nullptr, &reg);
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("u", {0}).ok());
+  ASSERT_TRUE(consumer.Assign("t", {0}).ok());
+  sim_.Run(0.75);
+  // Long-polls re-parked at ~0.5 s stay parked until ~1.0 s.
+  consumer.FailAndRestart(/*restart_delay_s=*/0.0);
+  sim_.Schedule(0.01, [&]() {
+    ASSERT_EQ(consumer.assignment().size(), 2u);
+    ASSERT_EQ(consumer.assignment()[0].topic, "t");
+    for (int i = 0; i < 5; ++i) {
+      CRAYFISH_CHECK_OK(producer.SendToPartition(TopicPartition{"u", 0},
+                                                 MakeRecord(i)));
+    }
+    producer.Flush();
+  });
+  size_t got = 0;
+  std::function<void()> poll = [&]() {
+    consumer.Poll(0.5, [&](std::vector<Record> records) {
+      got += records.size();
+      poll();
+    });
+  };
+  sim_.Schedule(0.02, [&]() { poll(); });
+  sim_.Run(2.0);
+
+  // Both the stale and the restarted fetch on u-0 were answered with data.
+  EXPECT_EQ(reg.Counter("broker_records_out", {{"broker", "kafka-0"}})
+                ->value(),
+            10.0);
+  EXPECT_EQ(got, 5u);
+  EXPECT_EQ(consumer.position(TopicPartition{"u", 0}), 5);
+  EXPECT_EQ(consumer.delivered_position(TopicPartition{"u", 0}), 5);
+  EXPECT_EQ(consumer.position(TopicPartition{"t", 0}), 0);
+  EXPECT_EQ(consumer.delivered_position(TopicPartition{"t", 0}), 0);
+  EXPECT_EQ(consumer.TotalLag(), 0);
+  consumer.Close();
+  sim_.AttachObservability(nullptr, nullptr);
+}
+
 TEST_F(ClientTest, EndToEndLatencyIsCreateToAppend) {
   // Mirrors §3.3: start time at the producer, end time = LogAppendTime.
   KafkaProducer producer(&cluster_, "client");
@@ -534,6 +751,25 @@ TEST_F(ClientTest, CrashTriggeredRebalanceIsAtLeastOnce) {
   EXPECT_GE(consumer.rebalances_seen(), 2u);  // join + crash-triggered
   EXPECT_GT(producer.retries() + consumer.retries(), 0u);
   EXPECT_TRUE(cluster_.IsBrokerUp(coord));  // restarted
+}
+
+TEST_F(ClientTest, RebalanceDuringRestartWindowWinsOverRestore) {
+  KafkaConsumer a(&cluster_, "client", "dyn");
+  ASSERT_TRUE(a.SubscribeDynamic("t").ok());
+  sim_.Run(1.0);
+  ASSERT_EQ(a.assignment().size(), 4u);
+  // `a` is down for 1 s; b's join rebalances the group at +50 ms, inside
+  // that window. The restart must not re-add a's old partitions on top.
+  a.FailAndRestart(/*restart_delay_s=*/1.0);
+  KafkaConsumer b(&cluster_, "client", "dyn");
+  ASSERT_TRUE(b.SubscribeDynamic("t").ok());
+  sim_.Run(3.0);
+  EXPECT_EQ(a.assignment().size(), 2u);
+  EXPECT_EQ(b.assignment().size(), 2u);
+  std::set<int> all;
+  for (const auto& tp : a.assignment()) all.insert(tp.partition);
+  for (const auto& tp : b.assignment()) all.insert(tp.partition);
+  EXPECT_EQ(all.size(), 4u);
 }
 
 TEST_F(ClientTest, JoinUnknownTopicFails) {

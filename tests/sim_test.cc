@@ -406,6 +406,30 @@ TEST(NetworkTest, DuplicateHostRejected) {
                   .code() == crayfish::StatusCode::kAlreadyExists);
 }
 
+// Send skips the host checks only for a pair that already has a live link;
+// a link out of the same source, or into the same destination, must not
+// let an unknown host through.
+TEST(NetworkDeathTest, SendToUnknownHostFailsEvenWithLinkFromSource) {
+  Simulation sim;
+  Network net(&sim);
+  ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
+  ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
+  net.Send("a", "b", 100, nullptr);
+  ASSERT_EQ(net.live_link_count(), 1u);
+  EXPECT_DEATH(net.Send("a", "ghost", 100, nullptr), "unknown host ghost");
+}
+
+TEST(NetworkDeathTest, SendFromUnknownHostFailsWhenDestinationIsKnown) {
+  Simulation sim;
+  Network net(&sim);
+  ASSERT_TRUE(net.AddHost(Host{"a", 4, 1 << 30, false}).ok());
+  ASSERT_TRUE(net.AddHost(Host{"b", 4, 1 << 30, false}).ok());
+  net.Send("a", "b", 100, nullptr);
+  EXPECT_DEATH(net.Send("ghost", "b", 100, nullptr), "unknown host ghost");
+  EXPECT_DEATH(net.Send("ghost", "ghost", 100, nullptr),
+               "unknown host ghost");
+}
+
 TEST(NetworkTest, TotalBytesAccounting) {
   Simulation sim;
   Network net(&sim);

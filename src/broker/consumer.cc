@@ -274,7 +274,8 @@ void KafkaConsumer::Poll(double timeout_s, PollCallback on_records) {
 void KafkaConsumer::MaybeDeliver() {
   if (!pending_poll_ || buffer_.empty()) return;
   if (obs::MetricsRegistry* reg = cluster_->simulation()->metrics()) {
-    if (!poll_wait_hist_) {
+    if (reg != hist_registry_) {
+      hist_registry_ = reg;
       poll_wait_hist_ =
           reg->Histogram("consumer_poll_wait_s", {{"group", group_}});
       buffer_hist_ =

@@ -203,7 +203,9 @@ class KafkaConsumer {
   /// Simulated instant the outstanding Poll was armed (-1 when none);
   /// feeds the poll-wait histogram.
   double poll_armed_at_ = -1.0;
-  /// Lazily resolved from the simulation's metrics registry.
+  /// Resolved from `hist_registry_`, and again whenever the simulation's
+  /// attached registry changes (registry handles are stable).
+  obs::MetricsRegistry* hist_registry_ = nullptr;
   obs::HistogramMetric* poll_wait_hist_ = nullptr;
   obs::HistogramMetric* buffer_hist_ = nullptr;
   uint64_t records_consumed_ = 0;

@@ -1,9 +1,14 @@
 #include "common/config.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.h"
 
@@ -38,7 +43,109 @@ void FlattenJson(const std::string& prefix, const JsonValue& v, Config* out) {
   if (v.is_array()) out->Set(prefix, v.Dump());
 }
 
+Status Malformed(const std::string& key, const char* problem,
+                 const std::string& text) {
+  return Status::InvalidArgument(key + ": " + problem + ": \"" + text +
+                                 "\"");
+}
+
+bool StartsClean(const std::string& text) {
+  return !text.empty() && !std::isspace(static_cast<unsigned char>(text[0]));
+}
+
+/// Reads all of `text` as a finite double; unlike strtod, no leading
+/// whitespace and no trailing junk.
+bool ReadFinite(const std::string& text, double* out) {
+  if (!StartsClean(text)) return false;
+  char* end = nullptr;
+  const double d = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(d)) return false;
+  *out = d;
+  return true;
+}
+
+/// A 64-bit integer: decimal digits (exact over the whole range), or an
+/// integral double such as "16.0" or "1e3" (JSON numbers flatten as %.17g).
+template <typename Int>
+Status ParseInteger(const std::string& key, const std::string& text,
+                    Int* out) {
+  constexpr bool kSigned = std::is_signed_v<Int>;
+  // strtoull would wrap "-1" to 2^64 - 1.
+  if (!kSigned && !text.empty() && text[0] == '-') {
+    return Malformed(key, "must not be negative", text);
+  }
+  if (StartsClean(text)) {
+    char* end = nullptr;
+    errno = 0;
+    Int v = 0;
+    if constexpr (kSigned) {
+      v = std::strtoll(text.c_str(), &end, 10);
+    } else {
+      v = std::strtoull(text.c_str(), &end, 10);
+    }
+    if (end == text.c_str() + text.size()) {
+      if (errno == ERANGE) return Malformed(key, "out of range", text);
+      *out = v;
+      return Status::Ok();
+    }
+  }
+  double d = 0.0;
+  if (!ReadFinite(text, &d) || d != std::floor(d)) {
+    return Malformed(key, "not an integer", text);
+  }
+  if (d < (kSigned ? -0x1p63 : 0.0) || d >= (kSigned ? 0x1p63 : 0x1p64)) {
+    return Malformed(key, "out of range", text);
+  }
+  *out = static_cast<Int>(d);
+  return Status::Ok();
+}
+
 }  // namespace
+
+Status ParseScalar(const std::string& /*key*/, const std::string& text,
+                   std::string* out) {
+  *out = text;
+  return Status::Ok();
+}
+
+Status ParseScalar(const std::string& key, const std::string& text,
+                   bool* out) {
+  if (text == "true" || text == "1" || text == "yes") {
+    *out = true;
+  } else if (text == "false" || text == "0" || text == "no") {
+    *out = false;
+  } else {
+    return Malformed(key, "not a bool (true|false|1|0|yes|no)", text);
+  }
+  return Status::Ok();
+}
+
+Status ParseScalar(const std::string& key, const std::string& text,
+                   int64_t* out) {
+  return ParseInteger(key, text, out);
+}
+
+Status ParseScalar(const std::string& key, const std::string& text,
+                   uint64_t* out) {
+  return ParseInteger(key, text, out);
+}
+
+Status ParseScalar(const std::string& key, const std::string& text,
+                   int* out) {
+  int64_t v = 0;
+  CRAYFISH_RETURN_IF_ERROR(ParseInteger(key, text, &v));
+  if (v < INT_MIN || v > INT_MAX) return Malformed(key, "out of range", text);
+  *out = static_cast<int>(v);
+  return Status::Ok();
+}
+
+Status ParseScalar(const std::string& key, const std::string& text,
+                   double* out) {
+  if (!ReadFinite(text, out)) {
+    return Malformed(key, "not a finite number", text);
+  }
+  return Status::Ok();
+}
 
 StatusOr<Config> Config::FromProperties(const std::string& text) {
   Config cfg;
@@ -67,11 +174,15 @@ StatusOr<Config> Config::FromProperties(const std::string& text) {
 
 StatusOr<Config> Config::FromJson(const std::string& text) {
   CRAYFISH_ASSIGN_OR_RETURN(JsonValue v, JsonValue::Parse(text));
-  if (!v.is_object()) {
+  return FromJsonObject(v);
+}
+
+StatusOr<Config> Config::FromJsonObject(const JsonValue& object) {
+  if (!object.is_object()) {
     return Status::InvalidArgument("config JSON must be an object");
   }
   Config cfg;
-  FlattenJson("", v, &cfg);
+  FlattenJson("", object, &cfg);
   return cfg;
 }
 
@@ -113,40 +224,23 @@ StatusOr<std::string> Config::GetString(const std::string& key) const {
 
 StatusOr<int64_t> Config::GetInt(const std::string& key) const {
   CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    // Allow doubles that are integral ("16.0").
-    char* dend = nullptr;
-    const double d = std::strtod(s.c_str(), &dend);
-    if (dend != s.c_str() && *dend == '\0' &&
-        d == static_cast<double>(static_cast<int64_t>(d))) {
-      return static_cast<int64_t>(d);
-    }
-    return Status::InvalidArgument("config key " + key +
-                                   " is not an integer: " + s);
-  }
-  return static_cast<int64_t>(v);
+  int64_t v = 0;
+  CRAYFISH_RETURN_IF_ERROR(ParseScalar(key, s, &v));
+  return v;
 }
 
 StatusOr<double> Config::GetDouble(const std::string& key) const {
   CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::InvalidArgument("config key " + key +
-                                   " is not a number: " + s);
-  }
+  double v = 0.0;
+  CRAYFISH_RETURN_IF_ERROR(ParseScalar(key, s, &v));
   return v;
 }
 
 StatusOr<bool> Config::GetBool(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return Status::NotFound("config key: " + key);
-  const std::string& s = it->second;
-  if (s == "true" || s == "1" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "no") return false;
-  return Status::InvalidArgument("config key " + key + " is not a bool: " + s);
+  CRAYFISH_ASSIGN_OR_RETURN(std::string s, GetString(key));
+  bool v = false;
+  CRAYFISH_RETURN_IF_ERROR(ParseScalar(key, s, &v));
+  return v;
 }
 
 std::string Config::GetStringOr(const std::string& key,
@@ -182,13 +276,6 @@ Config Config::Scope(const std::string& prefix) const {
 
 void Config::Merge(const Config& other) {
   for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::vector<std::string> Config::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [k, v] : values_) keys.push_back(k);
-  return keys;
 }
 
 std::string Config::ToString() const {

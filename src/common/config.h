@@ -1,13 +1,34 @@
 #ifndef CRAYFISH_COMMON_CONFIG_H_
 #define CRAYFISH_COMMON_CONFIG_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
 namespace crayfish {
+
+class JsonValue;
+
+/// The strict scalar parser behind every configuration surface
+/// (`.properties` keys, JSON document fields, CLI flags). The whole of
+/// `text` must parse: no trailing junk, finite numbers only, integers must
+/// be integral and in range, and uint64 rejects negatives. A failure
+/// returns InvalidArgument "<key>: <problem>". The std::string overload
+/// copies `text` as is.
+Status ParseScalar(const std::string& key, const std::string& text,
+                   std::string* out);
+Status ParseScalar(const std::string& key, const std::string& text,
+                   bool* out);
+Status ParseScalar(const std::string& key, const std::string& text,
+                   int* out);
+Status ParseScalar(const std::string& key, const std::string& text,
+                   int64_t* out);
+Status ParseScalar(const std::string& key, const std::string& text,
+                   uint64_t* out);
+Status ParseScalar(const std::string& key, const std::string& text,
+                   double* out);
 
 /// Flat key/value experiment configuration, in the spirit of Crayfish's
 /// per-experiment configuration files (Table 1 parameters such as isz, bsz,
@@ -25,8 +46,11 @@ class Config {
   static StatusOr<Config> FromProperties(const std::string& text);
 
   /// Parses a flat JSON object {"key": value, ...}. Nested objects are
-  /// flattened with '.' separators.
+  /// flattened with '.' separators; numbers render as %.17g (so they
+  /// round-trip exactly), arrays as their JSON text, null as "".
   static StatusOr<Config> FromJson(const std::string& text);
+  /// The same flattening over an already-parsed JSON object.
+  static StatusOr<Config> FromJsonObject(const JsonValue& object);
 
   /// Reads a properties file from disk.
   static StatusOr<Config> FromFile(const std::string& path);
@@ -56,7 +80,10 @@ class Config {
   /// Merges `other` into this config; `other` wins on conflicts.
   void Merge(const Config& other);
 
-  std::vector<std::string> Keys() const;
+  /// Every key/value pair, keys sorted.
+  const std::map<std::string, std::string>& entries() const {
+    return values_;
+  }
   size_t size() const { return values_.size(); }
 
   /// Properties-style rendering, keys sorted.

@@ -105,6 +105,12 @@ class [[nodiscard]] Status {
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
+  /// The same status with `prefix` put before its message (the path that
+  /// led to a field error, e.g. "workload."); OK stays OK.
+  Status Prefixed(const std::string& prefix) const {
+    return ok() ? *this : Status(code_, prefix + message_);
+  }
+
   bool operator==(const Status& other) const {
     return code_ == other.code_ && message_ == other.message_;
   }

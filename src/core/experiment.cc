@@ -55,10 +55,14 @@ std::string ExperimentConfig::Label() const {
 
 crayfish::StatusOr<ExperimentResult> RunExperiment(
     const ExperimentConfig& config) {
-  if (config.batch_size <= 0 || config.parallelism <= 0 ||
-      config.input_rate <= 0.0) {
-    return crayfish::Status::InvalidArgument(
-        "batch_size, parallelism and input_rate must be positive");
+  if (config.batch_size <= 0) {
+    return crayfish::Status::InvalidArgument("bsz (batch_size) must be > 0");
+  }
+  if (config.parallelism <= 0) {
+    return crayfish::Status::InvalidArgument("mp (parallelism) must be > 0");
+  }
+  if (!(config.input_rate > 0.0)) {
+    return crayfish::Status::InvalidArgument("ir (input_rate) must be > 0");
   }
   // Non-finite spans would never end the run; negative ones would end it
   // before it starts. Zero is valid (a set-up-only run).

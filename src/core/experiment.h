@@ -129,11 +129,24 @@ struct ExperimentConfig {
   /// is unset).
   obs::SloConfig slo;
 
+  /// The one `.properties` -> experiment mapping both CLIs use. Each
+  /// undotted key must be declared (ConfigKeysHelp lists them; an unknown
+  /// one fails with a did-you-mean). Dotted keys route by prefix: "fault.",
+  /// "workload." and "autoscaler." go to the ApplyOverride setters of the
+  /// documents the declared keys loaded; "flink.", "spark.", "ray." and
+  /// "kafka_streams." pass through to engine_overrides; any other prefix
+  /// fails. A malformed value fails with a Status naming its key.
+  static crayfish::StatusOr<ExperimentConfig> FromConfig(
+      const crayfish::Config& cfg);
+
   /// Per-sample tensor shape for the generator, by model name.
   std::vector<int64_t> SampleShape() const;
   RateSchedule Schedule() const;
   std::string Label() const;
 };
+
+/// One line per declared FromConfig key, for the CLIs' --help.
+std::string ConfigKeysHelp();
 
 /// Everything a bench needs from one run.
 struct ExperimentResult {

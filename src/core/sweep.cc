@@ -26,6 +26,14 @@ int DefaultSweepJobs() {
   return g_default_jobs.load(std::memory_order_relaxed);
 }
 
+crayfish::Status ApplyJobsFlag(const std::string& value) {
+  int jobs = 0;
+  CRAYFISH_RETURN_IF_ERROR(crayfish::ParseScalar("--jobs", value, &jobs));
+  if (jobs < 1) return crayfish::Status::InvalidArgument("--jobs: must be >= 1");
+  SetDefaultSweepJobs(jobs);
+  return crayfish::Status::Ok();
+}
+
 int ResolveSweepJobs(int jobs) {
   if (jobs <= 0) jobs = DefaultSweepJobs();
   if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());

@@ -1,6 +1,7 @@
 #ifndef CRAYFISH_CORE_SWEEP_H_
 #define CRAYFISH_CORE_SWEEP_H_
 
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -46,6 +47,9 @@ class SweepRunner {
 /// default); tools map their --jobs flag onto this.
 void SetDefaultSweepJobs(int jobs);
 int DefaultSweepJobs();
+
+/// Applies a tool's `--jobs=N` flag value: N must be an integer >= 1.
+crayfish::Status ApplyJobsFlag(const std::string& value);
 
 /// Resolves a jobs request: explicit positive value wins, else the process
 /// default, else std::thread::hardware_concurrency(), floored at 1.

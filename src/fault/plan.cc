@@ -1,115 +1,83 @@
 #include "fault/plan.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
 #include "common/json.h"
 
 namespace crayfish::fault {
 namespace {
 
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-Status ParseBool(const std::string& value, bool* out) {
-  if (value == "true" || value == "1") {
-    *out = true;
-    return Status::Ok();
-  }
-  if (value == "false" || value == "0") {
-    *out = false;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("not a bool: " + value);
-}
-
 /// Sets one RetryPolicy field by name.
 Status ApplyRetryField(crayfish::RetryPolicy* retry, const std::string& field,
                        const std::string& value) {
-  if (field == "max_retries") return ParseInt(value, &retry->max_retries);
-  if (field == "timeout_s") return ParseDouble(value, &retry->timeout_s);
+  if (field == "max_retries") {
+    return ParseScalar(field, value, &retry->max_retries);
+  }
+  if (field == "timeout_s") return ParseScalar(field, value, &retry->timeout_s);
   if (field == "initial_backoff_s") {
-    return ParseDouble(value, &retry->initial_backoff_s);
+    return ParseScalar(field, value, &retry->initial_backoff_s);
   }
   if (field == "backoff_multiplier") {
-    return ParseDouble(value, &retry->backoff_multiplier);
+    return ParseScalar(field, value, &retry->backoff_multiplier);
   }
   if (field == "max_backoff_s") {
-    return ParseDouble(value, &retry->max_backoff_s);
+    return ParseScalar(field, value, &retry->max_backoff_s);
   }
-  if (field == "jitter") return ParseDouble(value, &retry->jitter);
-  return Status::InvalidArgument("unknown retry field: " + field);
+  if (field == "jitter") return ParseScalar(field, value, &retry->jitter);
+  return Status::InvalidArgument(field + ": unknown retry field");
 }
 
 /// Sets one FaultSpec field by name.
 Status ApplySpecField(FaultSpec* spec, const std::string& field,
                       const std::string& value) {
-  if (field == "at_s") return ParseDouble(value, &spec->at_s);
-  if (field == "until_s") return ParseDouble(value, &spec->until_s);
-  if (field == "broker") return ParseInt(value, &spec->broker);
-  if (field == "from") {
-    spec->from = value;
-    return Status::Ok();
+  if (field == "at_s") return ParseScalar(field, value, &spec->at_s);
+  if (field == "until_s") return ParseScalar(field, value, &spec->until_s);
+  if (field == "broker") return ParseScalar(field, value, &spec->broker);
+  if (field == "from") return ParseScalar(field, value, &spec->from);
+  if (field == "to") return ParseScalar(field, value, &spec->to);
+  if (field == "latency_mult") {
+    return ParseScalar(field, value, &spec->latency_mult);
   }
-  if (field == "to") {
-    spec->to = value;
-    return Status::Ok();
-  }
-  if (field == "latency_mult") return ParseDouble(value, &spec->latency_mult);
   if (field == "bandwidth_mult") {
-    return ParseDouble(value, &spec->bandwidth_mult);
+    return ParseScalar(field, value, &spec->bandwidth_mult);
   }
-  if (field == "drop") return ParseBool(value, &spec->drop);
-  if (field == "factor") return ParseDouble(value, &spec->factor);
-  if (field == "workers_delta") return ParseInt(value, &spec->workers_delta);
-  if (field == "task_index") return ParseInt(value, &spec->task_index);
+  if (field == "drop") return ParseScalar(field, value, &spec->drop);
+  if (field == "factor") return ParseScalar(field, value, &spec->factor);
+  if (field == "workers_delta") {
+    return ParseScalar(field, value, &spec->workers_delta);
+  }
+  if (field == "task_index") {
+    return ParseScalar(field, value, &spec->task_index);
+  }
   if (field == "restart_delay_s") {
-    return ParseDouble(value, &spec->restart_delay_s);
+    return ParseScalar(field, value, &spec->restart_delay_s);
   }
-  return Status::InvalidArgument("unknown fault field: " + field);
+  return Status::InvalidArgument(field + ": unknown fault field");
 }
 
+/// "kind" picks the spec and "name" labels it; every other field goes
+/// through ApplySpecField, as "<name>.<field>" overrides do.
 StatusOr<FaultSpec> SpecFromJson(const JsonValue& v, size_t index) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("fault spec must be a JSON object");
+  const std::string where = "faults[" + std::to_string(index) + "]";
+  StatusOr<Config> fields = Config::FromJsonObject(v);
+  if (!fields.ok()) return fields.status().Prefixed(where + ": ");
+  StatusOr<std::string> kind_name = fields->GetString("kind");
+  if (!kind_name.ok()) {
+    return Status::InvalidArgument(where + ": needs a \"kind\"");
   }
   FaultSpec spec;
-  const std::string kind_name = v.GetStringOr("kind", "");
-  CRAYFISH_ASSIGN_OR_RETURN(spec.kind, ParseFaultKind(kind_name));
-  spec.name = v.GetStringOr("name", "");
+  CRAYFISH_ASSIGN_OR_RETURN(spec.kind, ParseFaultKind(*kind_name));
+  spec.name = fields->Has("name") ? *fields->GetString("name") : "";
   if (spec.name.empty()) {
-    spec.name = kind_name + "-" + std::to_string(index);
+    spec.name = *kind_name + "-" + std::to_string(index);
   }
-  spec.at_s = v.GetNumberOr("at_s", spec.at_s);
-  spec.until_s = v.GetNumberOr("until_s", spec.until_s);
-  spec.broker = static_cast<int>(v.GetIntOr("broker", spec.broker));
-  spec.from = v.GetStringOr("from", spec.from);
-  spec.to = v.GetStringOr("to", spec.to);
-  spec.latency_mult = v.GetNumberOr("latency_mult", spec.latency_mult);
-  spec.bandwidth_mult = v.GetNumberOr("bandwidth_mult", spec.bandwidth_mult);
-  spec.drop = v.GetBoolOr("drop", spec.drop);
-  spec.factor = v.GetNumberOr("factor", spec.factor);
-  spec.workers_delta =
-      static_cast<int>(v.GetIntOr("workers_delta", spec.workers_delta));
-  spec.task_index =
-      static_cast<int>(v.GetIntOr("task_index", spec.task_index));
-  spec.restart_delay_s =
-      v.GetNumberOr("restart_delay_s", spec.restart_delay_s);
+  for (const auto& [key, value] : fields->entries()) {
+    if (key == "kind" || key == "name") continue;
+    CRAYFISH_RETURN_IF_ERROR(
+        ApplySpecField(&spec, key, value).Prefixed(spec.name + "."));
+  }
   CRAYFISH_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
@@ -234,24 +202,8 @@ StatusOr<FaultPlan> FaultPlan::FromJsonText(const std::string& text) {
     return Status::InvalidArgument("fault plan must be a JSON object");
   }
   FaultPlan plan;
-  if (const JsonValue* retry = root.Find("retry")) {
-    if (!retry->is_object()) {
-      return Status::InvalidArgument("\"retry\" must be a JSON object");
-    }
-    plan.retry.max_retries = static_cast<int>(
-        retry->GetIntOr("max_retries", plan.retry.max_retries));
-    plan.retry.timeout_s =
-        retry->GetNumberOr("timeout_s", plan.retry.timeout_s);
-    plan.retry.initial_backoff_s =
-        retry->GetNumberOr("initial_backoff_s", plan.retry.initial_backoff_s);
-    plan.retry.backoff_multiplier = retry->GetNumberOr(
-        "backoff_multiplier", plan.retry.backoff_multiplier);
-    plan.retry.max_backoff_s =
-        retry->GetNumberOr("max_backoff_s", plan.retry.max_backoff_s);
-    plan.retry.jitter = retry->GetNumberOr("jitter", plan.retry.jitter);
-  }
-  plan.auto_commit_interval_s =
-      root.GetNumberOr("auto_commit_interval_s", plan.auto_commit_interval_s);
+  // The "faults" array is the one structural key; every other field
+  // ("retry.<field>", "auto_commit_interval_s") goes through ApplyOverride.
   if (const JsonValue* faults = root.Find("faults")) {
     if (!faults->is_array()) {
       return Status::InvalidArgument("\"faults\" must be a JSON array");
@@ -261,6 +213,11 @@ StatusOr<FaultPlan> FaultPlan::FromJsonText(const std::string& text) {
                                 SpecFromJson(faults->as_array()[i], i));
       plan.faults.push_back(std::move(spec));
     }
+    root.as_object().erase("faults");
+  }
+  CRAYFISH_ASSIGN_OR_RETURN(const Config fields, Config::FromJsonObject(root));
+  for (const auto& [key, value] : fields.entries()) {
+    CRAYFISH_RETURN_IF_ERROR(plan.ApplyOverride(key, value));
   }
   CRAYFISH_RETURN_IF_ERROR(plan.Validate());
   return plan;
@@ -277,26 +234,32 @@ StatusOr<FaultPlan> FaultPlan::FromFile(const std::string& path) {
 Status FaultPlan::ApplyOverride(const std::string& key,
                                 const std::string& value) {
   if (key == "auto_commit_interval_s") {
-    return ParseDouble(value, &auto_commit_interval_s);
+    return ParseScalar(key, value, &auto_commit_interval_s);
   }
   const size_t dot = key.find('.');
   if (dot == std::string::npos || dot == 0 || dot + 1 >= key.size()) {
-    return Status::InvalidArgument("bad fault override key: " + key);
+    return Status::InvalidArgument(
+        key + ": not auto_commit_interval_s, retry.<field> or "
+              "<fault>.<field>");
   }
   const std::string target = key.substr(0, dot);
   const std::string field = key.substr(dot + 1);
-  if (target == "retry") return ApplyRetryField(&retry, field, value);
+  if (target == "retry") {
+    return ApplyRetryField(&retry, field, value).Prefixed("retry.");
+  }
   for (FaultSpec& spec : faults) {
-    if (spec.name == target) return ApplySpecField(&spec, field, value);
+    if (spec.name == target) {
+      return ApplySpecField(&spec, field, value).Prefixed(target + ".");
+    }
   }
   // Numeric index addressing ("0.at_s").
-  char* end = nullptr;
-  const long idx = std::strtol(target.c_str(), &end, 10);
-  if (end != target.c_str() && *end == '\0' && idx >= 0 &&
-      static_cast<size_t>(idx) < faults.size()) {
-    return ApplySpecField(&faults[static_cast<size_t>(idx)], field, value);
+  uint64_t idx = 0;
+  if (ParseScalar(target, target, &idx).ok() && idx < faults.size()) {
+    return ApplySpecField(&faults[static_cast<size_t>(idx)], field, value)
+        .Prefixed(target + ".");
   }
-  return Status::NotFound("no fault named \"" + target + "\" in plan");
+  return Status::NotFound(key + ": no fault named \"" + target +
+                          "\" in the plan");
 }
 
 }  // namespace crayfish::fault

@@ -2,32 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
+
 namespace crayfish::scale {
-namespace {
-
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status PolicyConfig::Validate() const {
   if (kind != "reactive" && kind != "predictive") {
     return Status::InvalidArgument("unknown autoscaler policy: \"" + kind +
@@ -82,33 +62,12 @@ Status PolicyConfig::Validate() const {
 }
 
 StatusOr<PolicyConfig> PolicyConfig::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("autoscaler config must be a JSON object");
-  }
+  CRAYFISH_ASSIGN_OR_RETURN(const Config fields, Config::FromJsonObject(v));
   PolicyConfig c;
   c.enabled = true;
-  c.kind = v.GetStringOr("kind", c.kind);
-  c.interval_s = v.GetNumberOr("interval_s", c.interval_s);
-  c.min_replicas = static_cast<int>(v.GetIntOr("min_replicas", c.min_replicas));
-  c.max_replicas = static_cast<int>(v.GetIntOr("max_replicas", c.max_replicas));
-  c.step = static_cast<int>(v.GetIntOr("step", c.step));
-  c.cooldown_s = v.GetNumberOr("cooldown_s", c.cooldown_s);
-  c.scale_in_hysteresis = static_cast<int>(
-      v.GetIntOr("scale_in_hysteresis", c.scale_in_hysteresis));
-  c.scale_up_lag = v.GetNumberOr("scale_up_lag", c.scale_up_lag);
-  c.scale_up_utilization =
-      v.GetNumberOr("scale_up_utilization", c.scale_up_utilization);
-  c.scale_down_lag = v.GetNumberOr("scale_down_lag", c.scale_down_lag);
-  c.scale_down_utilization =
-      v.GetNumberOr("scale_down_utilization", c.scale_down_utilization);
-  c.hw_alpha = v.GetNumberOr("hw_alpha", c.hw_alpha);
-  c.hw_beta = v.GetNumberOr("hw_beta", c.hw_beta);
-  c.horizon_s = v.GetNumberOr("horizon_s", c.horizon_s);
-  c.rate_per_replica = v.GetNumberOr("rate_per_replica", c.rate_per_replica);
-  c.target_utilization =
-      v.GetNumberOr("target_utilization", c.target_utilization);
-  c.seed = static_cast<uint64_t>(
-      v.GetIntOr("seed", static_cast<int64_t>(c.seed)));
+  for (const auto& [key, value] : fields.entries()) {
+    CRAYFISH_RETURN_IF_ERROR(c.ApplyOverride(key, value));
+  }
   CRAYFISH_RETURN_IF_ERROR(c.Validate());
   return c;
 }
@@ -129,40 +88,36 @@ StatusOr<PolicyConfig> PolicyConfig::FromFile(const std::string& path) {
 Status PolicyConfig::ApplyOverride(const std::string& key,
                                    const std::string& value) {
   enabled = true;
-  if (key == "kind") {
-    kind = value;
-    return Status::Ok();
-  }
-  if (key == "interval_s") return ParseDouble(value, &interval_s);
-  if (key == "min_replicas") return ParseInt(value, &min_replicas);
-  if (key == "max_replicas") return ParseInt(value, &max_replicas);
-  if (key == "step") return ParseInt(value, &step);
-  if (key == "cooldown_s") return ParseDouble(value, &cooldown_s);
+  if (key == "kind") return ParseScalar(key, value, &kind);
+  if (key == "interval_s") return ParseScalar(key, value, &interval_s);
+  if (key == "min_replicas") return ParseScalar(key, value, &min_replicas);
+  if (key == "max_replicas") return ParseScalar(key, value, &max_replicas);
+  if (key == "step") return ParseScalar(key, value, &step);
+  if (key == "cooldown_s") return ParseScalar(key, value, &cooldown_s);
   if (key == "scale_in_hysteresis") {
-    return ParseInt(value, &scale_in_hysteresis);
+    return ParseScalar(key, value, &scale_in_hysteresis);
   }
-  if (key == "scale_up_lag") return ParseDouble(value, &scale_up_lag);
+  if (key == "scale_up_lag") return ParseScalar(key, value, &scale_up_lag);
   if (key == "scale_up_utilization") {
-    return ParseDouble(value, &scale_up_utilization);
+    return ParseScalar(key, value, &scale_up_utilization);
   }
-  if (key == "scale_down_lag") return ParseDouble(value, &scale_down_lag);
+  if (key == "scale_down_lag") {
+    return ParseScalar(key, value, &scale_down_lag);
+  }
   if (key == "scale_down_utilization") {
-    return ParseDouble(value, &scale_down_utilization);
+    return ParseScalar(key, value, &scale_down_utilization);
   }
-  if (key == "hw_alpha") return ParseDouble(value, &hw_alpha);
-  if (key == "hw_beta") return ParseDouble(value, &hw_beta);
-  if (key == "horizon_s") return ParseDouble(value, &horizon_s);
-  if (key == "rate_per_replica") return ParseDouble(value, &rate_per_replica);
+  if (key == "hw_alpha") return ParseScalar(key, value, &hw_alpha);
+  if (key == "hw_beta") return ParseScalar(key, value, &hw_beta);
+  if (key == "horizon_s") return ParseScalar(key, value, &horizon_s);
+  if (key == "rate_per_replica") {
+    return ParseScalar(key, value, &rate_per_replica);
+  }
   if (key == "target_utilization") {
-    return ParseDouble(value, &target_utilization);
+    return ParseScalar(key, value, &target_utilization);
   }
-  if (key == "seed") {
-    double d = 0.0;
-    CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-    seed = static_cast<uint64_t>(d);
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("unknown autoscaler key: " + key);
+  if (key == "seed") return ParseScalar(key, value, &seed);
+  return Status::InvalidArgument(key + ": unknown autoscaler key");
 }
 
 PolicyDecision ReactivePolicy::Evaluate(const PolicyInput& in) {

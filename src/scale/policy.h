@@ -49,6 +49,8 @@ struct PolicyConfig {
   uint64_t seed = 42;
 
   Status Validate() const;
+  /// Walks the object and sets each field through ApplyOverride; fails on
+  /// the first unknown or malformed field, naming it.
   static StatusOr<PolicyConfig> FromJson(const JsonValue& v);
   static StatusOr<PolicyConfig> FromJsonText(const std::string& text);
   static StatusOr<PolicyConfig> FromFile(const std::string& path);

@@ -2,36 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
+
 namespace crayfish::scale {
 namespace {
-
-Status ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double d = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: " + value);
-  }
-  *out = d;
-  return Status::Ok();
-}
-
-Status ParseInt(const std::string& value, int* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-Status ParseUint64(const std::string& value, uint64_t* out) {
-  double d = 0.0;
-  CRAYFISH_RETURN_IF_ERROR(ParseDouble(value, &d));
-  *out = static_cast<uint64_t>(d);
-  return Status::Ok();
-}
 
 /// SplitMix64: the jitter factor is a pure hash of (seed, window index),
 /// not an RNG stream — shapes consume no simulation randomness.
@@ -51,8 +28,14 @@ StatusOr<ProfilePoint> PointFromJson(const JsonValue& v) {
     return p;
   }
   if (v.is_object()) {
-    p.t_s = v.GetNumberOr("t_s", 0.0);
-    p.rate = v.GetNumberOr("rate", 0.0);
+    for (const auto& [key, field] : v.as_object()) {
+      double* slot = key == "t_s" ? &p.t_s : key == "rate" ? &p.rate : nullptr;
+      if (slot == nullptr || !field.is_number()) {
+        return Status::InvalidArgument("profile point field \"" + key +
+                                       "\" must be t_s or rate, a number");
+      }
+      *slot = field.as_number();
+    }
     return p;
   }
   return Status::InvalidArgument(
@@ -245,39 +228,6 @@ Status WorkloadShape::Validate() const {
   return Status::Ok();
 }
 
-StatusOr<WorkloadShape> WorkloadShape::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("workload shape must be a JSON object");
-  }
-  WorkloadShape shape;
-  const std::string kind_name = v.GetStringOr("kind", "constant");
-  CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(kind_name));
-  shape.base_rate = v.GetNumberOr("base_rate", shape.base_rate);
-  shape.floor_rate = v.GetNumberOr("floor_rate", shape.floor_rate);
-  shape.jitter = v.GetNumberOr("jitter", shape.jitter);
-  shape.jitter_window_s =
-      v.GetNumberOr("jitter_window_s", shape.jitter_window_s);
-  shape.seed = static_cast<uint64_t>(
-      v.GetIntOr("seed", static_cast<int64_t>(shape.seed)));
-  shape.amplitude = v.GetNumberOr("amplitude", shape.amplitude);
-  shape.period_s = v.GetNumberOr("period_s", shape.period_s);
-  shape.phase_s = v.GetNumberOr("phase_s", shape.phase_s);
-  shape.spike_at_s = v.GetNumberOr("spike_at_s", shape.spike_at_s);
-  shape.spike_mult = v.GetNumberOr("spike_mult", shape.spike_mult);
-  shape.ramp_up_s = v.GetNumberOr("ramp_up_s", shape.ramp_up_s);
-  shape.hold_s = v.GetNumberOr("hold_s", shape.hold_s);
-  shape.decay_s = v.GetNumberOr("decay_s", shape.decay_s);
-  shape.ramp_start_s = v.GetNumberOr("ramp_start_s", shape.ramp_start_s);
-  shape.ramp_duration_s =
-      v.GetNumberOr("ramp_duration_s", shape.ramp_duration_s);
-  shape.end_rate = v.GetNumberOr("end_rate", shape.end_rate);
-  if (const JsonValue* points = v.Find("points")) {
-    CRAYFISH_RETURN_IF_ERROR(PointsFromJsonArray(*points, &shape.points));
-  }
-  CRAYFISH_RETURN_IF_ERROR(shape.Validate());
-  return shape;
-}
-
 Status WorkloadSpec::Validate() const {
   CRAYFISH_RETURN_IF_ERROR(shape.Validate());
   if (tenants < 0) {
@@ -296,31 +246,16 @@ Status WorkloadSpec::Validate() const {
 }
 
 StatusOr<WorkloadSpec> WorkloadSpec::FromJson(const JsonValue& v) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("workload spec must be a JSON object");
-  }
+  CRAYFISH_ASSIGN_OR_RETURN(const Config fields, Config::FromJsonObject(v));
   WorkloadSpec spec;
   spec.enabled = true;
-  // Shape fields live in a nested "shape" object when present; a flat
-  // layout (shape keys at the top level) is accepted too, so small
-  // hand-written specs don't need the extra nesting.
-  const JsonValue* shape = v.Find("shape");
-  CRAYFISH_ASSIGN_OR_RETURN(spec.shape,
-                            WorkloadShape::FromJson(shape != nullptr ? *shape
-                                                                     : v));
-  spec.tenants = static_cast<int>(v.GetIntOr("tenants", spec.tenants));
-  spec.tenant_partitions = static_cast<int>(
-      v.GetIntOr("tenant_partitions", spec.tenant_partitions));
-  spec.tenant_rate_factor =
-      v.GetNumberOr("tenant_rate_factor", spec.tenant_rate_factor);
-  spec.tenant_topic_prefix =
-      v.GetStringOr("tenant_topic_prefix", spec.tenant_topic_prefix);
-  spec.tenant_host_prefix =
-      v.GetStringOr("tenant_host_prefix", spec.tenant_host_prefix);
-  spec.fleet_hosts =
-      static_cast<int>(v.GetIntOr("fleet_hosts", spec.fleet_hosts));
-  spec.fleet_host_prefix =
-      v.GetStringOr("fleet_host_prefix", spec.fleet_host_prefix);
+  // Shape fields nest under "shape" or sit at the top level (small
+  // hand-written specs skip the nesting); ApplyOverride takes both.
+  for (const auto& [key, value] : fields.entries()) {
+    const bool nested = key.rfind("shape.", 0) == 0;
+    CRAYFISH_RETURN_IF_ERROR(
+        spec.ApplyOverride(nested ? key.substr(6) : key, value));
+  }
   CRAYFISH_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
@@ -342,52 +277,56 @@ Status WorkloadSpec::ApplyOverride(const std::string& key,
                                    const std::string& value) {
   enabled = true;
   if (key == "kind") {
-    CRAYFISH_ASSIGN_OR_RETURN(shape.kind, ParseShapeKind(value));
+    StatusOr<ShapeKind> kind = ParseShapeKind(value);
+    if (!kind.ok()) return kind.status().Prefixed("kind: ");
+    shape.kind = *kind;
     return Status::Ok();
   }
-  if (key == "base_rate") return ParseDouble(value, &shape.base_rate);
-  if (key == "floor_rate") return ParseDouble(value, &shape.floor_rate);
-  if (key == "jitter") return ParseDouble(value, &shape.jitter);
-  if (key == "jitter_window_s") {
-    return ParseDouble(value, &shape.jitter_window_s);
-  }
-  if (key == "seed") return ParseUint64(value, &shape.seed);
-  if (key == "amplitude") return ParseDouble(value, &shape.amplitude);
-  if (key == "period_s") return ParseDouble(value, &shape.period_s);
-  if (key == "phase_s") return ParseDouble(value, &shape.phase_s);
-  if (key == "spike_at_s") return ParseDouble(value, &shape.spike_at_s);
-  if (key == "spike_mult") return ParseDouble(value, &shape.spike_mult);
-  if (key == "ramp_up_s") return ParseDouble(value, &shape.ramp_up_s);
-  if (key == "hold_s") return ParseDouble(value, &shape.hold_s);
-  if (key == "decay_s") return ParseDouble(value, &shape.decay_s);
-  if (key == "ramp_start_s") return ParseDouble(value, &shape.ramp_start_s);
-  if (key == "ramp_duration_s") {
-    return ParseDouble(value, &shape.ramp_duration_s);
-  }
-  if (key == "end_rate") return ParseDouble(value, &shape.end_rate);
   if (key == "points") {
-    CRAYFISH_ASSIGN_OR_RETURN(JsonValue arr, JsonValue::Parse(value));
-    return PointsFromJsonArray(arr, &shape.points);
+    StatusOr<JsonValue> arr = JsonValue::Parse(value);
+    if (arr.ok()) return PointsFromJsonArray(*arr, &shape.points);
+    return arr.status().Prefixed("points: ");
   }
-  if (key == "tenants") return ParseInt(value, &tenants);
-  if (key == "tenant_partitions") return ParseInt(value, &tenant_partitions);
+  if (key == "base_rate") return ParseScalar(key, value, &shape.base_rate);
+  if (key == "floor_rate") return ParseScalar(key, value, &shape.floor_rate);
+  if (key == "jitter") return ParseScalar(key, value, &shape.jitter);
+  if (key == "jitter_window_s") {
+    return ParseScalar(key, value, &shape.jitter_window_s);
+  }
+  if (key == "seed") return ParseScalar(key, value, &shape.seed);
+  if (key == "amplitude") return ParseScalar(key, value, &shape.amplitude);
+  if (key == "period_s") return ParseScalar(key, value, &shape.period_s);
+  if (key == "phase_s") return ParseScalar(key, value, &shape.phase_s);
+  if (key == "spike_at_s") return ParseScalar(key, value, &shape.spike_at_s);
+  if (key == "spike_mult") return ParseScalar(key, value, &shape.spike_mult);
+  if (key == "ramp_up_s") return ParseScalar(key, value, &shape.ramp_up_s);
+  if (key == "hold_s") return ParseScalar(key, value, &shape.hold_s);
+  if (key == "decay_s") return ParseScalar(key, value, &shape.decay_s);
+  if (key == "ramp_start_s") {
+    return ParseScalar(key, value, &shape.ramp_start_s);
+  }
+  if (key == "ramp_duration_s") {
+    return ParseScalar(key, value, &shape.ramp_duration_s);
+  }
+  if (key == "end_rate") return ParseScalar(key, value, &shape.end_rate);
+  if (key == "tenants") return ParseScalar(key, value, &tenants);
+  if (key == "tenant_partitions") {
+    return ParseScalar(key, value, &tenant_partitions);
+  }
   if (key == "tenant_rate_factor") {
-    return ParseDouble(value, &tenant_rate_factor);
+    return ParseScalar(key, value, &tenant_rate_factor);
   }
   if (key == "tenant_topic_prefix") {
-    tenant_topic_prefix = value;
-    return Status::Ok();
+    return ParseScalar(key, value, &tenant_topic_prefix);
   }
   if (key == "tenant_host_prefix") {
-    tenant_host_prefix = value;
-    return Status::Ok();
+    return ParseScalar(key, value, &tenant_host_prefix);
   }
-  if (key == "fleet_hosts") return ParseInt(value, &fleet_hosts);
+  if (key == "fleet_hosts") return ParseScalar(key, value, &fleet_hosts);
   if (key == "fleet_host_prefix") {
-    fleet_host_prefix = value;
-    return Status::Ok();
+    return ParseScalar(key, value, &fleet_host_prefix);
   }
-  return Status::InvalidArgument("unknown workload key: " + key);
+  return Status::InvalidArgument(key + ": unknown workload key");
 }
 
 }  // namespace crayfish::scale

@@ -78,7 +78,6 @@ struct WorkloadShape {
   double IntegrateRate(double t0, double t1, int steps = 4096) const;
 
   Status Validate() const;
-  static StatusOr<WorkloadShape> FromJson(const JsonValue& v);
 };
 
 /// Full cluster-scale workload: the primary shape driving the scored
@@ -109,6 +108,9 @@ struct WorkloadSpec {
   std::string fleet_host_prefix = "fleet-";
 
   Status Validate() const;
+  /// Walks the object and sets each field through ApplyOverride; shape
+  /// fields may nest under "shape". Fails on the first unknown or
+  /// malformed field, naming it.
   static StatusOr<WorkloadSpec> FromJson(const JsonValue& v);
   static StatusOr<WorkloadSpec> FromJsonText(const std::string& text);
   static StatusOr<WorkloadSpec> FromFile(const std::string& path);

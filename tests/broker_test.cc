@@ -378,6 +378,47 @@ TEST_F(ClientTest, ConsumerPollTimesOutEmptyTopic) {
   EXPECT_EQ(n, 0u);
 }
 
+TEST_F(ClientTest, ConsumerHistogramsFollowTheAttachedRegistry) {
+  KafkaProducer producer(&cluster_, "client");
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("t", {0}).ok());
+  // Arms a poll on an empty buffer, then produces one record into it, so
+  // the delivery observes a poll wait.
+  const auto wait_for_one_record = [&](int value) {
+    bool delivered = false;
+    consumer.Poll(1.0, [&delivered](std::vector<Record> records) {
+      delivered = !records.empty();
+    });
+    sim_.Run(sim_.Now() + 0.1);
+    ASSERT_TRUE(
+        producer.SendToPartition(TopicPartition{"t", 0}, MakeRecord(value))
+            .ok());
+    producer.Flush();
+    sim_.Run(sim_.Now() + 2.0);
+    EXPECT_TRUE(delivered);
+  };
+  const auto poll_waits = [](obs::MetricsRegistry* reg) {
+    return reg->Histogram("consumer_poll_wait_s", {{"group", "g"}})->count();
+  };
+  auto first = std::make_unique<obs::MetricsRegistry>();
+  sim_.AttachObservability(nullptr, first.get());
+  wait_for_one_record(1);
+  EXPECT_EQ(poll_waits(first.get()), 1u);
+
+  // Observations after the switch go to the registry attached now; the
+  // first one is gone, so a stale handle would write freed memory (ASan).
+  obs::MetricsRegistry second;
+  first.reset();
+  sim_.AttachObservability(nullptr, &second);
+  wait_for_one_record(2);
+  wait_for_one_record(3);
+  EXPECT_EQ(poll_waits(&second), 2u);
+  EXPECT_EQ(
+      second.Histogram("consumer_buffer_depth", {{"group", "g"}})->count(),
+      2u);
+  sim_.AttachObservability(nullptr, nullptr);
+}
+
 TEST_F(ClientTest, SubscribeRangeAssignsAmongMembers) {
   KafkaConsumer a(&cluster_, "client", "g");
   KafkaConsumer b(&cluster_, "client", "g");

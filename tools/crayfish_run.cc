@@ -9,61 +9,19 @@
 // their summaries print in argument order. Observability flags and the
 // measurements CSV apply to single-config runs only.
 //
-// Flags:
-//   --jobs=N            max concurrent experiments (default: hardware
-//                       concurrency; --jobs=1 recovers serial behavior)
-//   --trace_out=PATH    write a Chrome trace-event JSON (load in Perfetto
-//                       or chrome://tracing) of every batch's stage spans
-//   --trace_csv=PATH    write per-span CSV (batch_id,stage,start,end,dur)
-//   --metrics_out=PATH  write the metrics-registry snapshot as JSON
-//   --breakdown         print the per-stage latency decomposition
-//   --timeline_out=PATH     write the telemetry timeline as JSONL
-//   --timeline_csv=PATH     write the telemetry timeline as CSV
-//   --timeline_interval=S   tumbling-window width in seconds (default 1)
-//   --slo=PATH          evaluate SLOs from a JSON spec against the timeline
-//   --slo_out=PATH      write the SLO report as JSON
-//   --workload=PATH     drive the producer with a workload shape (JSON:
-//                       constant|diurnal|flash-crowd|ramp|replay, plus
-//                       multi-tenant fan-out; see README)
-//   --autoscaler=PATH   run the elastic control loop from a policy JSON
-//                       (reactive | predictive) and report scaling actions
-//   --help              this text
-// (any trace/metrics flag implicitly enables tracing for the run; any
-// timeline/SLO flag enables the telemetry timeline, which never perturbs
-// the simulation)
+// Flags: `crayfish_run --help` (PrintUsage below). Any trace/metrics flag
+// enables tracing for the run; any timeline/SLO flag enables the telemetry
+// timeline, which never perturbs the simulation.
 //
-// Example config:
-//   engine        = flink            # flink|kafka-streams|spark|ray
-//   serving       = onnx             # dl4j|onnx|savedmodel|tf-serving|...
-//   model         = ffnn             # ffnn|resnet50
-//   bsz           = 1                # data points per event
-//   ir            = 30000            # events/s
-//   mp            = 1                # scoring parallelism
-//   gpu           = false
-//   duration_s    = 10
-//   bursty        = false
-//   bd            = 30               # burst duration (s)
-//   tbb           = 120              # time between bursts (s)
-//   burst_rate    = 1500
-//   dataset       =                  # optional JSON-lines file to replay
-//   trace         = false            # same as passing --breakdown
-//   timeline_interval_s = 0          # > 0 enables the telemetry timeline
-//   slo           =                  # SLO spec JSON (implies the timeline)
-//   seed          = 42
-//   # workload.* / autoscaler.* keys override the respective JSON specs
-//   # (and enable them), e.g.:
-//   # workload.kind        = flash-crowd
-//   # workload.base_rate   = 500
-//   # autoscaler.kind      = reactive
-//   # autoscaler.max_replicas = 8
-//   # engine-specific overrides pass through verbatim, e.g.:
-//   # spark.max_offsets_per_trigger = 768
+// Config keys: `crayfish_run --help` lists every declared key (the table
+// behind core::ExperimentConfig::FromConfig, shared with crayfish_sweep).
+// An unknown key or a malformed value is rejected with exit code 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -71,129 +29,26 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "scale/policy.h"
-#include "scale/workload.h"
-#include "serving/calibration.h"
 
 namespace {
 
 using namespace crayfish;
 
-core::ExperimentConfig FromConfig(const Config& cfg) {
-  core::ExperimentConfig out;
-  out.engine = cfg.GetStringOr("engine", out.engine);
-  out.serving = cfg.GetStringOr("serving", out.serving);
-  out.model = cfg.GetStringOr("model", out.model);
-  out.batch_size = static_cast<int>(cfg.GetIntOr("bsz", out.batch_size));
-  out.input_rate = cfg.GetDoubleOr("ir", out.input_rate);
-  out.parallelism = static_cast<int>(cfg.GetIntOr("mp", out.parallelism));
-  out.use_gpu = cfg.GetBoolOr("gpu", out.use_gpu);
-  out.bursty = cfg.GetBoolOr("bursty", out.bursty);
-  out.burst_rate = cfg.GetDoubleOr("burst_rate", out.burst_rate);
-  out.burst_duration_s = cfg.GetDoubleOr("bd", out.burst_duration_s);
-  out.time_between_bursts_s =
-      cfg.GetDoubleOr("tbb", out.time_between_bursts_s);
-  out.first_burst_at_s =
-      cfg.GetDoubleOr("first_burst_at_s", out.first_burst_at_s);
-  out.source_parallelism = static_cast<int>(
-      cfg.GetIntOr("source_parallelism", out.source_parallelism));
-  out.sink_parallelism = static_cast<int>(
-      cfg.GetIntOr("sink_parallelism", out.sink_parallelism));
-  out.topic_partitions = static_cast<int>(
-      cfg.GetIntOr("partitions", out.topic_partitions));
-  out.duration_s = cfg.GetDoubleOr("duration_s", out.duration_s);
-  out.drain_s = cfg.GetDoubleOr("drain_s", out.drain_s);
-  out.max_events =
-      static_cast<uint64_t>(cfg.GetIntOr("max_events", 0));
-  out.max_measurements =
-      static_cast<uint64_t>(cfg.GetIntOr("max_measurements", 0));
-  out.seed = static_cast<uint64_t>(cfg.GetIntOr("seed", 42));
-  out.dataset_path = cfg.GetStringOr("dataset", "");
-  out.enable_tracing = cfg.GetBoolOr("trace", out.enable_tracing);
-  out.timeline_interval_s =
-      cfg.GetDoubleOr("timeline_interval_s", out.timeline_interval_s);
-  // Engine-specific keys pass through verbatim; "fault.*", "workload.*",
-  // and "autoscaler.*" keys are plan/spec overrides, routed separately by
-  // ApplyFaultConfig / ApplyScaleConfig.
-  for (const std::string& key : cfg.Keys()) {
-    if (key.find('.') != std::string::npos &&
-        key.rfind("fault.", 0) != 0 && key.rfind("workload.", 0) != 0 &&
-        key.rfind("autoscaler.", 0) != 0) {
-      out.engine_overrides.Set(key, cfg.GetStringOr(key, ""));
-    }
-  }
-  return out;
-}
+/// Flags that stand for a config key: each is set as its key over the
+/// file's keys, so the flag wins and parses exactly as the key does.
+constexpr std::pair<const char*, const char*> kKeyFlags[] = {
+    {"--faults", "faults"},
+    {"--slo", "slo"},
+    {"--workload", "workload"},
+    {"--autoscaler", "autoscaler"},
+    {"--timeline_interval", "timeline_interval_s"},
+};
 
-// Loads the SLO spec (--slo flag wins over the "slo" config key) and the
-// timeline-interval flag override.
-Status ApplySloConfig(const Config& cfg, const std::string& slo_flag,
-                      const std::string& interval_flag,
-                      core::ExperimentConfig* out) {
-  const std::string path =
-      !slo_flag.empty() ? slo_flag : cfg.GetStringOr("slo", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->slo, obs::SloConfig::FromFile(path));
-  }
-  if (!interval_flag.empty()) {
-    const double interval = std::atof(interval_flag.c_str());
-    if (interval <= 0.0) {
-      return Status::InvalidArgument("--timeline_interval must be > 0");
-    }
-    out->timeline_interval_s = interval;
-  }
-  return Status::Ok();
-}
-
-// Loads the fault plan (--faults flag wins over the "faults" config key)
-// and applies "fault.<target>.<field>" overrides from the config file.
-Status ApplyFaultConfig(const Config& cfg, const std::string& faults_flag,
-                        core::ExperimentConfig* out) {
-  const std::string path =
-      !faults_flag.empty() ? faults_flag : cfg.GetStringOr("faults", "");
-  if (!path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->fault_plan,
-                              fault::FaultPlan::FromFile(path));
-  }
-  for (const std::string& key : cfg.Keys()) {
-    if (key.rfind("fault.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->fault_plan.ApplyOverride(
-          key.substr(6), cfg.GetStringOr(key, "")));
-    }
-  }
-  return Status::Ok();
-}
-
-// Loads the workload shape and autoscaler policy (the --workload /
-// --autoscaler flags win over the "workload" / "autoscaler" config keys)
-// and applies "workload.<key>" / "autoscaler.<key>" overrides from the
-// config file.
-Status ApplyScaleConfig(const Config& cfg, const std::string& workload_flag,
-                        const std::string& autoscaler_flag,
-                        core::ExperimentConfig* out) {
-  const std::string workload_path =
-      !workload_flag.empty() ? workload_flag : cfg.GetStringOr("workload", "");
-  if (!workload_path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->workload,
-                              scale::WorkloadSpec::FromFile(workload_path));
-  }
-  const std::string policy_path = !autoscaler_flag.empty()
-                                      ? autoscaler_flag
-                                      : cfg.GetStringOr("autoscaler", "");
-  if (!policy_path.empty()) {
-    CRAYFISH_ASSIGN_OR_RETURN(out->autoscaler,
-                              scale::PolicyConfig::FromFile(policy_path));
-  }
-  for (const std::string& key : cfg.Keys()) {
-    if (key.rfind("workload.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->workload.ApplyOverride(
-          key.substr(9), cfg.GetStringOr(key, "")));
-    } else if (key.rfind("autoscaler.", 0) == 0) {
-      CRAYFISH_RETURN_IF_ERROR(out->autoscaler.ApplyOverride(
-          key.substr(11), cfg.GetStringOr(key, "")));
-    }
-  }
-  return Status::Ok();
+StatusOr<core::ExperimentConfig> LoadExperiment(const std::string& path,
+                                                const Config& flag_keys) {
+  CRAYFISH_ASSIGN_OR_RETURN(Config cfg, Config::FromFile(path));
+  cfg.Merge(flag_keys);
+  return core::ExperimentConfig::FromConfig(cfg);
 }
 
 void PrintUsage(const char* prog) {
@@ -220,8 +75,9 @@ void PrintUsage(const char* prog) {
       "                      predictive); scaling actions print after the run\n"
       "  --help              show this text\n"
       "any observability flag enables tracing; observability flags and the\n"
-      "measurements CSV require a single config file\n",
-      prog);
+      "measurements CSV require a single config file\n"
+      "config keys:\n%s",
+      prog, core::ConfigKeysHelp().c_str());
 }
 
 bool ParseFlag(const std::string& arg, const std::string& name,
@@ -238,15 +94,11 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string trace_csv;
   std::string metrics_out;
-  std::string jobs_str;
-  std::string faults_path;
   std::string timeline_out;
   std::string timeline_csv;
-  std::string timeline_interval;
-  std::string slo_path;
   std::string slo_out;
-  std::string workload_path;
-  std::string autoscaler_path;
+  std::string value;
+  Config flag_keys;
   bool print_breakdown = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -255,20 +107,29 @@ int main(int argc, char** argv) {
       PrintUsage(argv[0]);
       return 0;
     }
-    if (arg == "--breakdown") {
+    bool is_key_flag = false;
+    for (const auto& [flag, key] : kKeyFlags) {
+      if (ParseFlag(arg, flag, &value)) {
+        flag_keys.Set(key, value);
+        is_key_flag = true;
+      }
+    }
+    if (is_key_flag) {
+      // set as its key above
+    } else if (ParseFlag(arg, "--jobs", &value)) {
+      crayfish::Status s = core::ApplyJobsFlag(value);
+      if (!s.ok()) {
+        std::fprintf(stderr, "%s\n", s.message().c_str());
+        return 2;
+      }
+    } else if (arg == "--breakdown") {
       print_breakdown = true;
-    } else if (ParseFlag(arg, "--jobs", &jobs_str) ||
-               ParseFlag(arg, "--trace_out", &trace_out) ||
+    } else if (ParseFlag(arg, "--trace_out", &trace_out) ||
                ParseFlag(arg, "--trace_csv", &trace_csv) ||
                ParseFlag(arg, "--metrics_out", &metrics_out) ||
-               ParseFlag(arg, "--faults", &faults_path) ||
                ParseFlag(arg, "--timeline_out", &timeline_out) ||
                ParseFlag(arg, "--timeline_csv", &timeline_csv) ||
-               ParseFlag(arg, "--timeline_interval", &timeline_interval) ||
-               ParseFlag(arg, "--slo", &slo_path) ||
-               ParseFlag(arg, "--slo_out", &slo_out) ||
-               ParseFlag(arg, "--workload", &workload_path) ||
-               ParseFlag(arg, "--autoscaler", &autoscaler_path)) {
+               ParseFlag(arg, "--slo_out", &slo_out)) {
       // value captured by ParseFlag
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -278,13 +139,18 @@ int main(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
-  if (!jobs_str.empty()) {
-    const int jobs = std::atoi(jobs_str.c_str());
-    if (jobs < 1) {
-      std::fprintf(stderr, "--jobs must be >= 1\n");
+  if (flag_keys.Has("timeline_interval_s")) {
+    double interval = 0.0;
+    crayfish::Status s = ParseScalar(
+        "--timeline_interval", *flag_keys.GetString("timeline_interval_s"),
+        &interval);
+    if (s.ok() && interval <= 0.0) {
+      s = crayfish::Status::InvalidArgument("--timeline_interval: must be > 0");
+    }
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.message().c_str());
       return 2;
     }
-    core::SetDefaultSweepJobs(jobs);
   }
   // The trailing positional is the measurements CSV when it ends in
   // ".csv"; everything else is a config file.
@@ -304,8 +170,8 @@ int main(int argc, char** argv) {
   const bool want_obs_flags = print_breakdown || !trace_out.empty() ||
                               !trace_csv.empty() || !metrics_out.empty();
   const bool want_timeline_flags =
-      !timeline_out.empty() || !timeline_csv.empty() ||
-      !timeline_interval.empty() || !slo_path.empty() || !slo_out.empty();
+      !timeline_out.empty() || !timeline_csv.empty() || !slo_out.empty() ||
+      flag_keys.Has("timeline_interval_s") || flag_keys.Has("slo");
   if (positional.size() > 1 && (want_obs_flags || want_timeline_flags ||
                                 !measurements_csv.empty())) {
     std::fprintf(stderr,
@@ -319,27 +185,13 @@ int main(int argc, char** argv) {
     // argument order.
     std::vector<core::ExperimentConfig> batch;
     for (const std::string& path : positional) {
-      auto cfg_or = Config::FromFile(path);
-      if (!cfg_or.ok()) {
+      auto exp = LoadExperiment(path, flag_keys);
+      if (!exp.ok()) {
         std::fprintf(stderr, "config error (%s): %s\n", path.c_str(),
-                     cfg_or.status().ToString().c_str());
+                     exp.status().ToString().c_str());
         return 2;
       }
-      batch.push_back(FromConfig(*cfg_or));
-      crayfish::Status fs =
-          ApplyFaultConfig(*cfg_or, faults_path, &batch.back());
-      if (!fs.ok()) {
-        std::fprintf(stderr, "fault plan error (%s): %s\n", path.c_str(),
-                     fs.ToString().c_str());
-        return 2;
-      }
-      crayfish::Status scs = ApplyScaleConfig(*cfg_or, workload_path,
-                                              autoscaler_path, &batch.back());
-      if (!scs.ok()) {
-        std::fprintf(stderr, "scale config error (%s): %s\n", path.c_str(),
-                     scs.ToString().c_str());
-        return 2;
-      }
+      batch.push_back(*std::move(exp));
     }
     std::printf("running %zu experiments (jobs=%d) ...\n", batch.size(),
                 std::min(core::ResolveSweepJobs(0),
@@ -356,33 +208,13 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  auto cfg_or = Config::FromFile(positional[0]);
-  if (!cfg_or.ok()) {
-    std::fprintf(stderr, "config error: %s\n",
-                 cfg_or.status().ToString().c_str());
+  auto exp = LoadExperiment(positional[0], flag_keys);
+  if (!exp.ok()) {
+    std::fprintf(stderr, "config error (%s): %s\n", positional[0].c_str(),
+                 exp.status().ToString().c_str());
     return 2;
   }
-  core::ExperimentConfig cfg = FromConfig(*cfg_or);
-  {
-    crayfish::Status fs = ApplyFaultConfig(*cfg_or, faults_path, &cfg);
-    if (!fs.ok()) {
-      std::fprintf(stderr, "fault plan error: %s\n", fs.ToString().c_str());
-      return 2;
-    }
-    crayfish::Status ss =
-        ApplySloConfig(*cfg_or, slo_path, timeline_interval, &cfg);
-    if (!ss.ok()) {
-      std::fprintf(stderr, "slo config error: %s\n", ss.ToString().c_str());
-      return 2;
-    }
-    crayfish::Status scs =
-        ApplyScaleConfig(*cfg_or, workload_path, autoscaler_path, &cfg);
-    if (!scs.ok()) {
-      std::fprintf(stderr, "scale config error: %s\n",
-                   scs.ToString().c_str());
-      return 2;
-    }
-  }
+  core::ExperimentConfig cfg = *std::move(exp);
   const bool want_obs = print_breakdown || !trace_out.empty() ||
                         !trace_csv.empty() || !metrics_out.empty();
   if (want_obs) cfg.enable_tracing = true;

@@ -2,6 +2,7 @@
 #define CRAYFISH_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -32,8 +33,10 @@ inline BenchOptions& Options() {
 }
 
 /// Parses the common bench flags (`--jobs N`, `--out_dir PATH`, both also
-/// in `--flag=value` form) and installs the sweep default. Unknown
-/// arguments are ignored so binaries can keep their own flags.
+/// in `--flag=value` form) and installs the sweep default. `--jobs` parses
+/// as `crayfish_run`'s does: a value that is not an integer >= 1 exits 2
+/// naming the flag. Unknown arguments are ignored so binaries can keep
+/// their own flags.
 inline void Init(int argc, char** argv) {
   BenchOptions& opts = Options();
   const auto value_of = [&](int& i, const char* name) -> const char* {
@@ -45,12 +48,16 @@ inline void Init(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     if (const char* v = value_of(i, "--jobs")) {
-      opts.jobs = std::atoi(v);
+      const crayfish::Status s = core::ApplyJobsFlag(v);
+      if (!s.ok()) {
+        std::fprintf(stderr, "%s\n", s.message().c_str());
+        std::exit(2);
+      }
+      opts.jobs = core::DefaultSweepJobs();
     } else if (const char* v = value_of(i, "--out_dir")) {
       opts.out_dir = v;
     }
   }
-  core::SetDefaultSweepJobs(opts.jobs);
 }
 
 /// Runs one configuration, CHECK-failing on setup errors (bench configs

@@ -146,6 +146,7 @@ void KafkaCluster::FlushWaitersOfBroker(int broker_index) {
       for (PendingFetch& fetch : flushed) {
         if (*fetch.done) continue;
         *fetch.done = true;
+        sim_->Cancel(fetch.timer);
         // The connection died with the broker: the client sees an empty
         // response after the error delay; no network traffic is modelled.
         sim_->Schedule(config_.unavailable_error_delay_s,
@@ -316,7 +317,8 @@ void KafkaCluster::Fetch(const std::string& client_host,
               PendingFetch fetch{offset, max_records, max_bytes,
                                  std::move(client_host),
                                  std::move(on_records),
-                                 std::make_shared<bool>(false)};
+                                 std::make_shared<bool>(false),
+                                 /*timer=*/{}};
               if (ps.log.end_offset() > offset) {
                 AnswerFetch(tp, std::move(fetch));
                 return;
@@ -325,9 +327,8 @@ void KafkaCluster::Fetch(const std::string& client_host,
               // captures only the done token; the parked fetch itself is
               // moved into the waiter list and re-located on expiry, so the
               // callback and host string are never copied.
-              auto done = fetch.done;
-              ps.waiters.push_back(std::move(fetch));
-              sim_->Schedule(max_wait_s, [this, tp, done]() {
+              fetch.timer = sim_->Schedule(
+                  max_wait_s, [this, tp, done = fetch.done]() {
                 if (*done) return;
                 *done = true;
                 auto wt_it = topics_.find(tp.topic);
@@ -345,6 +346,7 @@ void KafkaCluster::Fetch(const std::string& client_host,
                 CRAYFISH_CHECK(false)
                     << "pending fetch missing for " << tp.ToString();
               });
+              ps.waiters.push_back(std::move(fetch));
             });
       });
 }
@@ -386,6 +388,7 @@ void KafkaCluster::WakeWaiters(const TopicPartition& tp) {
   for (PendingFetch& fetch : to_answer) {
     if (*fetch.done) continue;
     *fetch.done = true;
+    sim_->Cancel(fetch.timer);
     AnswerFetch(tp, std::move(fetch));
   }
 }

@@ -192,6 +192,8 @@ class KafkaCluster {
     std::function<void(std::vector<Record>)> on_records;
     /// Set when the waiter has been answered (by data or timeout).
     std::shared_ptr<bool> done;
+    /// The long-poll timeout, cancelled when data or a crash answers first.
+    sim::EventId timer;
   };
 
   /// Per-partition broker state: the log plus its parked long-poll

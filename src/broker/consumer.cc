@@ -147,6 +147,7 @@ void KafkaConsumer::FailAndRestart(double restart_delay_s) {
     // The engine's outstanding Poll sees an empty result once the task is
     // back (never before: the task is down in between).
     *pending_poll_done_ = true;
+    cluster_->simulation()->Cancel(poll_timer_);
     poll_armed_at_ = -1.0;
     PollCallback cb = std::move(pending_poll_);
     pending_poll_ = nullptr;
@@ -260,7 +261,7 @@ void KafkaConsumer::Poll(double timeout_s, PollCallback on_records) {
     });
     return;
   }
-  cluster_->simulation()->Schedule(timeout_s, [this, done]() {
+  poll_timer_ = cluster_->simulation()->Schedule(timeout_s, [this, done]() {
     if (*done) return;
     *done = true;
     poll_armed_at_ = -1.0;
@@ -302,6 +303,7 @@ void KafkaConsumer::MaybeDeliver() {
   }
   records_consumed_ += out.size();
   *pending_poll_done_ = true;
+  cluster_->simulation()->Cancel(poll_timer_);
   PollCallback cb = std::move(pending_poll_);
   pending_poll_ = nullptr;
   pending_poll_done_ = nullptr;
@@ -331,6 +333,7 @@ void KafkaConsumer::Close() {
   ++(*generation_);
   if (pending_poll_) {
     *pending_poll_done_ = true;
+    cluster_->simulation()->Cancel(poll_timer_);
     pending_poll_ = nullptr;
     pending_poll_done_ = nullptr;
   }

@@ -14,6 +14,7 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "sim/simulation.h"
 
 namespace crayfish::obs {
 class HistogramMetric;
@@ -200,6 +201,9 @@ class KafkaConsumer {
 
   PollCallback pending_poll_;
   std::shared_ptr<bool> pending_poll_done_;
+  /// The outstanding Poll's timeout, cancelled when the poll settles
+  /// another way (stale when none is armed).
+  sim::EventId poll_timer_;
   /// Simulated instant the outstanding Poll was armed (-1 when none);
   /// feeds the poll-wait histogram.
   double poll_armed_at_ = -1.0;

@@ -159,16 +159,18 @@ void KafkaProducer::SendBatch(const TopicPartition& tp,
     }
   };
 
-  cluster_->simulation()->Schedule(retry_.timeout_s, [settled, fail, tp]() {
-    if (*settled) return;
-    *settled = true;
-    fail(crayfish::Status::Timeout("produce timed out: " + tp.ToString()));
-  });
+  const sim::EventId timer = cluster_->simulation()->Schedule(
+      retry_.timeout_s, [settled, fail, tp]() {
+        if (*settled) return;
+        *settled = true;
+        fail(crayfish::Status::Timeout("produce timed out: " + tp.ToString()));
+      });
 
   cluster_->Produce(client_host_, tp, std::move(records),
-                    [settled, fail, acks](crayfish::Status s) {
+                    [this, settled, timer, fail, acks](crayfish::Status s) {
                       if (*settled) return;  // late reply after timeout
                       *settled = true;
+                      cluster_->simulation()->Cancel(timer);
                       if (!s.ok()) {
                         fail(s);
                         return;

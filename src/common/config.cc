@@ -243,27 +243,6 @@ StatusOr<bool> Config::GetBool(const std::string& key) const {
   return v;
 }
 
-std::string Config::GetStringOr(const std::string& key,
-                                const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-int64_t Config::GetIntOr(const std::string& key, int64_t fallback) const {
-  auto v = GetInt(key);
-  return v.ok() ? *v : fallback;
-}
-
-double Config::GetDoubleOr(const std::string& key, double fallback) const {
-  auto v = GetDouble(key);
-  return v.ok() ? *v : fallback;
-}
-
-bool Config::GetBoolOr(const std::string& key, bool fallback) const {
-  auto v = GetBool(key);
-  return v.ok() ? *v : fallback;
-}
-
 Config Config::Scope(const std::string& prefix) const {
   Config out;
   for (const auto& [k, v] : values_) {

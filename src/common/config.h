@@ -67,11 +67,15 @@ class Config {
   StatusOr<double> GetDouble(const std::string& key) const;
   StatusOr<bool> GetBool(const std::string& key) const;
 
-  std::string GetStringOr(const std::string& key,
-                          const std::string& fallback) const;
-  int64_t GetIntOr(const std::string& key, int64_t fallback) const;
-  double GetDoubleOr(const std::string& key, double fallback) const;
-  bool GetBoolOr(const std::string& key, bool fallback) const;
+  /// Strictly parses `key` into `*out` (see ParseScalar) when it is
+  /// present; an absent key leaves `*out` untouched. A malformed value is
+  /// an error naming the key, never a fallback.
+  template <typename T>
+  Status GetIfPresent(const std::string& key, T* out) const {
+    auto it = values_.find(key);
+    return it == values_.end() ? Status::Ok()
+                               : ParseScalar(key, it->second, out);
+  }
 
   /// All keys with the given prefix, e.g. Scope("flink.") -> keys without
   /// the prefix.

@@ -74,6 +74,16 @@ crayfish::StatusOr<ExperimentResult> RunExperiment(
     return crayfish::Status::InvalidArgument(
         "drain_s must be finite and >= 0");
   }
+  // Finite but huge spans never end either: the clock stops resolving the
+  // producer's inter-arrival step.
+  if (config.duration_s > ExperimentConfig::kMaxRunSpanS) {
+    return crayfish::Status::InvalidArgument(
+        "duration_s must be <= 1e6 simulated s");
+  }
+  if (config.duration_s + config.drain_s > ExperimentConfig::kMaxRunSpanS) {
+    return crayfish::Status::InvalidArgument(
+        "drain_s: duration_s + drain_s must be <= 1e6 simulated s");
+  }
   const bool external = serving::IsExternalTool(config.serving);
   if (!external && !serving::IsEmbeddedLibrary(config.serving)) {
     return crayfish::Status::InvalidArgument("unknown serving tool: " +

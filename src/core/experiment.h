@@ -75,6 +75,11 @@ struct ExperimentConfig {
   crayfish::Config engine_overrides;
 
   // --- run control ---
+  /// Longest run RunExperiment accepts, simulated s: `duration_s +
+  /// drain_s` may not exceed it. At this magnitude a double clock still
+  /// resolves a 1 ns step; at 1e300 the producer's `+= 1/rate` no longer
+  /// advances it and the run never ends.
+  static constexpr double kMaxRunSpanS = 1e6;
   double duration_s = 30.0;  ///< producer generation window (sim time)
   double drain_s = 10.0;     ///< extra time for in-flight work
   uint64_t max_events = 0;

@@ -64,8 +64,9 @@ constexpr ConfigKey kKeys[] = {
     {"partitions", SetField<&C::topic_partitions>,
      "partitions per Kafka topic"},
     {"duration_s", SetField<&C::duration_s>,
-     "producer generation window, simulated s"},
-    {"drain_s", SetField<&C::drain_s>, "extra simulated s for in-flight work"},
+     "producer generation window, simulated s; with drain_s <= 1e6"},
+    {"drain_s", SetField<&C::drain_s>,
+     "extra simulated s for in-flight work; with duration_s <= 1e6"},
     {"max_events", SetField<&C::max_events>,
      "cap on generated input events; 0 = none"},
     {"max_measurements", SetField<&C::max_measurements>,

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/config.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -74,6 +75,25 @@ double Violation(const SloSpec& spec, double value) {
   return v;
 }
 
+/// Sets one field of an SLO entry from its flattened JSON value.
+Status ApplySloField(SloSpec* spec, const std::string& key,
+                     const std::string& value) {
+  if (key == "name") return ParseScalar(key, value, &spec->name);
+  if (key == "metric") return ParseScalar(key, value, &spec->metric);
+  if (key == "max") {
+    spec->has_max = true;
+    return ParseScalar(key, value, &spec->max);
+  }
+  if (key == "min") {
+    spec->has_min = true;
+    return ParseScalar(key, value, &spec->min);
+  }
+  if (key == "error_budget") {
+    return ParseScalar(key, value, &spec->error_budget);
+  }
+  return Status::InvalidArgument(key + ": unknown SLO field");
+}
+
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -87,40 +107,41 @@ StatusOr<SloConfig> SloConfig::FromJsonText(const std::string& text) {
   if (!root.is_object()) {
     return Status::InvalidArgument("SLO config: top level must be an object");
   }
+  for (const auto& [key, value] : root.as_object()) {
+    if (key != "slos") {
+      return Status::InvalidArgument("SLO config: " + key + ": unknown key");
+    }
+  }
   const JsonValue* slos = root.Find("slos");
   if (slos == nullptr || !slos->is_array()) {
     return Status::InvalidArgument(
         "SLO config: missing \"slos\" array");
   }
   SloConfig config;
-  for (const JsonValue& entry : slos->as_array()) {
+  for (size_t i = 0; i < slos->as_array().size(); ++i) {
+    const JsonValue& entry = slos->as_array()[i];
+    const std::string where = "SLO config: slos[" + std::to_string(i) + "]";
     if (!entry.is_object()) {
-      return Status::InvalidArgument("SLO config: each slo must be an object");
+      return Status::InvalidArgument(where + " must be an object");
     }
+    StatusOr<Config> fields = Config::FromJsonObject(entry);
+    if (!fields.ok()) return fields.status().Prefixed(where + ".");
     SloSpec spec;
-    spec.metric = entry.GetStringOr("metric", "");
+    for (const auto& [key, value] : fields->entries()) {
+      CRAYFISH_RETURN_IF_ERROR(
+          ApplySloField(&spec, key, value).Prefixed(where + "."));
+    }
     if (spec.metric.empty()) {
-      return Status::InvalidArgument("SLO config: slo missing \"metric\"");
+      return Status::InvalidArgument(where + ".metric: missing");
     }
-    spec.name = entry.GetStringOr("name", spec.metric);
-    const JsonValue* max = entry.Find("max");
-    if (max != nullptr && max->is_number()) {
-      spec.max = max->as_number();
-      spec.has_max = true;
-    }
-    const JsonValue* min = entry.Find("min");
-    if (min != nullptr && min->is_number()) {
-      spec.min = min->as_number();
-      spec.has_min = true;
-    }
+    if (!fields->Has("name")) spec.name = spec.metric;
     if (!spec.has_max && !spec.has_min) {
-      return Status::InvalidArgument("SLO config: slo \"" + spec.name +
-                                     "\" needs a \"max\" or \"min\" bound");
+      return Status::InvalidArgument(where +
+                                     ": needs a \"max\" or \"min\" bound");
     }
-    spec.error_budget = entry.GetNumberOr("error_budget", 0.0);
     if (spec.error_budget < 0.0 || spec.error_budget >= 1.0) {
-      return Status::InvalidArgument(
-          "SLO config: error_budget must be in [0, 1)");
+      return Status::InvalidArgument(where +
+                                     ".error_budget: must be in [0, 1)");
     }
     config.slos.push_back(std::move(spec));
   }

@@ -9,18 +9,18 @@ namespace crayfish::sim {
 
 Simulation::Simulation(uint64_t seed) : seed_(seed), rng_(seed) {}
 
-void Simulation::Schedule(SimTime delay, InlineAction action) {
+EventId Simulation::Schedule(SimTime delay, InlineAction action) {
   // A NaN key is unordered against every other key and would silently
   // break the heap invariant; fail at the call site instead.
   CRAYFISH_CHECK(!std::isnan(delay)) << "Schedule: delay is " << delay;
   if (delay < 0.0) delay = 0.0;
-  queue_.Push(now_ + delay, std::move(action));
+  return queue_.Push(now_ + delay, std::move(action));
 }
 
-void Simulation::ScheduleAt(SimTime time, InlineAction action) {
+EventId Simulation::ScheduleAt(SimTime time, InlineAction action) {
   CRAYFISH_CHECK(!std::isnan(time)) << "ScheduleAt: time is " << time;
   if (time < now_) time = now_;
-  queue_.Push(time, std::move(action));
+  return queue_.Push(time, std::move(action));
 }
 
 int Simulation::RegisterHost(const std::string& name) {

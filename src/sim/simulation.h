@@ -40,12 +40,18 @@ class Simulation {
   /// clamp to zero (fire at the current instant, after pending same-time
   /// events). Accepts any void() callable; captures up to
   /// InlineAction::kInlineBytes are stored without allocating. CHECK-fails
-  /// on a NaN delay.
-  void Schedule(SimTime delay, InlineAction action);
+  /// on a NaN delay. Returns the event's handle for Cancel.
+  EventId Schedule(SimTime delay, InlineAction action);
 
   /// Schedules `action` at an absolute time; times before Now() clamp to
-  /// Now(). CHECK-fails on a NaN time.
-  void ScheduleAt(SimTime time, InlineAction action);
+  /// Now(). CHECK-fails on a NaN time. Returns the event's handle.
+  EventId ScheduleAt(SimTime time, InlineAction action);
+
+  /// Removes a pending event without running it (see EventQueue::Cancel).
+  /// Call it where an event's own guard is set, so that the event could
+  /// only have done nothing: then the order and effect of every other
+  /// event stay as they were. Returns false for a stale id.
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   /// Registers a simulated host name and returns its id; registering the
   /// same name twice returns the existing id. Network::AddHost calls this,

@@ -129,8 +129,7 @@ void StreamEngine::InvokeExternalAttempt(
   // late response to an already-abandoned attempt is ignored.
   auto settled = std::make_shared<bool>(false);
   const double started = sim_->Now();
-  sim_->Schedule(retry.timeout_s, [this, settled, batch_size, multiplier,
-                                   attempt, done]() {
+  auto on_timeout = [this, settled, batch_size, multiplier, attempt, done]() {
     if (*settled) return;
     *settled = true;
     if (!stopped_ && attempt < scoring_.retry.max_retries) {
@@ -156,11 +155,14 @@ void StreamEngine::InvokeExternalAttempt(
     // Teardown or retry budget exhausted: unblock the operator thread so
     // the record keeps flowing (scoring work is lost, the record is not).
     (*done)();
-  });
+  };
+  const sim::EventId timer =
+      sim_->Schedule(retry.timeout_s, std::move(on_timeout));
   scoring_.server->Invoke(config_.host, batch_size,
-                          [this, settled, multiplier, started, done]() {
+                          [this, settled, timer, multiplier, started, done]() {
                             if (*settled) return;
                             *settled = true;
+                            sim_->Cancel(timer);
                             const double elapsed = sim_->Now() - started;
                             sim_->Schedule((multiplier - 1.0) * elapsed,
                                            [done]() { (*done)(); });
@@ -226,27 +228,29 @@ crayfish::StatusOr<std::unique_ptr<StreamEngine>> CreateEngine(
     const std::string& engine_name, sim::Simulation* sim,
     sim::Network* network, broker::KafkaCluster* cluster,
     EngineConfig config, ScoringConfig scoring) {
+  std::unique_ptr<StreamEngine> engine;
   if (engine_name == "flink") {
-    return {std::make_unique<FlinkEngine>(sim, network, cluster,
-                                          std::move(config),
-                                          std::move(scoring))};
+    engine = std::make_unique<FlinkEngine>(sim, network, cluster,
+                                           std::move(config),
+                                           std::move(scoring));
+  } else if (engine_name == "kafka-streams") {
+    engine = std::make_unique<KafkaStreamsEngine>(sim, network, cluster,
+                                                  std::move(config),
+                                                  std::move(scoring));
+  } else if (engine_name == "spark") {
+    engine = std::make_unique<SparkEngine>(sim, network, cluster,
+                                           std::move(config),
+                                           std::move(scoring));
+  } else if (engine_name == "ray") {
+    engine = std::make_unique<RayEngine>(sim, network, cluster,
+                                         std::move(config),
+                                         std::move(scoring));
+  } else {
+    return crayfish::Status::InvalidArgument("unknown engine: " +
+                                             engine_name);
   }
-  if (engine_name == "kafka-streams") {
-    return {std::make_unique<KafkaStreamsEngine>(sim, network, cluster,
-                                                 std::move(config),
-                                                 std::move(scoring))};
-  }
-  if (engine_name == "spark") {
-    return {std::make_unique<SparkEngine>(sim, network, cluster,
-                                          std::move(config),
-                                          std::move(scoring))};
-  }
-  if (engine_name == "ray") {
-    return {std::make_unique<RayEngine>(sim, network, cluster,
-                                        std::move(config),
-                                        std::move(scoring))};
-  }
-  return crayfish::Status::InvalidArgument("unknown engine: " + engine_name);
+  CRAYFISH_RETURN_IF_ERROR(engine->ApplyOverrides());
+  return {std::move(engine)};
 }
 
 std::vector<std::string> EngineNames() {

@@ -87,6 +87,13 @@ class StreamEngine {
 
   virtual const char* name() const = 0;
 
+  /// Reads the engine's own `<engine>.` keys from config().overrides into
+  /// its costs. Values parse strictly: a malformed one fails with a Status
+  /// naming the key. Absent and unknown keys are ignored. CreateEngine
+  /// calls this once, before the engine can start. The default reads
+  /// nothing, for engines without overrides.
+  virtual crayfish::Status ApplyOverrides() { return crayfish::Status::Ok(); }
+
   /// Deploys tasks and starts consuming. Loads the model into the scoring
   /// operators first (embedded) — the streaming job begins after the load
   /// completes, as in the paper's adapters.

@@ -11,22 +11,23 @@ FlinkEngine::FlinkEngine(sim::Simulation* sim, sim::Network* network,
                          ScoringConfig scoring)
     : StreamEngine(sim, network, cluster, std::move(config),
                    std::move(scoring)) {
-  costs_.buffer_cycle_s = config_.overrides.GetDoubleOr(
-      "flink.buffer_cycle_s", costs_.buffer_cycle_s);
-  costs_.async_io =
-      config_.overrides.GetBoolOr("flink.async_io", costs_.async_io);
-  costs_.async_capacity = static_cast<int>(config_.overrides.GetIntOr(
-      "flink.async_capacity", costs_.async_capacity));
-  costs_.checkpoint_interval_s = config_.overrides.GetDoubleOr(
-      "flink.checkpoint_interval_s", costs_.checkpoint_interval_s);
-  costs_.checkpoint_stall_s = config_.overrides.GetDoubleOr(
-      "flink.checkpoint_stall_s", costs_.checkpoint_stall_s);
-  costs_.stage_queue_capacity = static_cast<size_t>(
-      config_.overrides.GetIntOr("flink.stage_queue_capacity",
-                                 static_cast<int64_t>(
-                                     costs_.stage_queue_capacity)));
   chained_ =
       config_.source_parallelism == 0 && config_.sink_parallelism == 0;
+}
+
+crayfish::Status FlinkEngine::ApplyOverrides() {
+  const crayfish::Config& o = config_.overrides;
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("flink.buffer_cycle_s", &costs_.buffer_cycle_s));
+  CRAYFISH_RETURN_IF_ERROR(o.GetIfPresent("flink.async_io", &costs_.async_io));
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("flink.async_capacity", &costs_.async_capacity));
+  CRAYFISH_RETURN_IF_ERROR(o.GetIfPresent("flink.checkpoint_interval_s",
+                                          &costs_.checkpoint_interval_s));
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("flink.checkpoint_stall_s", &costs_.checkpoint_stall_s));
+  return o.GetIfPresent("flink.stage_queue_capacity",
+                        &costs_.stage_queue_capacity);
 }
 
 FlinkEngine::~FlinkEngine() { Stop(); }

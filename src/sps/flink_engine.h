@@ -63,6 +63,7 @@ class FlinkEngine : public StreamEngine {
   ~FlinkEngine() override;
 
   const char* name() const override { return "flink"; }
+  crayfish::Status ApplyOverrides() override;
   crayfish::Status Start() override;
   void Stop() override;
 

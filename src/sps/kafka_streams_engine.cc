@@ -12,11 +12,14 @@ KafkaStreamsEngine::KafkaStreamsEngine(sim::Simulation* sim,
                                        EngineConfig config,
                                        ScoringConfig scoring)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.record_fixed_s = config_.overrides.GetDoubleOr(
-      "kafka_streams.record_fixed_s", costs_.record_fixed_s);
-  costs_.idle_pickup_s = config_.overrides.GetDoubleOr(
-      "kafka_streams.idle_pickup_s", costs_.idle_pickup_s);
+                   std::move(scoring)) {}
+
+crayfish::Status KafkaStreamsEngine::ApplyOverrides() {
+  const crayfish::Config& o = config_.overrides;
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("kafka_streams.record_fixed_s", &costs_.record_fixed_s));
+  return o.GetIfPresent("kafka_streams.idle_pickup_s",
+                        &costs_.idle_pickup_s);
 }
 
 KafkaStreamsEngine::~KafkaStreamsEngine() { Stop(); }

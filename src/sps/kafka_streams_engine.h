@@ -44,6 +44,7 @@ class KafkaStreamsEngine : public StreamEngine {
   ~KafkaStreamsEngine() override;
 
   const char* name() const override { return "kafka-streams"; }
+  crayfish::Status ApplyOverrides() override;
   crayfish::Status Start() override;
   void Stop() override;
 

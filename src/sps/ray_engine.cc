@@ -10,9 +10,11 @@ RayEngine::RayEngine(sim::Simulation* sim, sim::Network* network,
                      broker::KafkaCluster* cluster, EngineConfig config,
                      ScoringConfig scoring)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.py_record_s = config_.overrides.GetDoubleOr("ray.py_record_s",
-                                                     costs_.py_record_s);
+                   std::move(scoring)) {}
+
+crayfish::Status RayEngine::ApplyOverrides() {
+  return config_.overrides.GetIfPresent("ray.py_record_s",
+                                        &costs_.py_record_s);
 }
 
 RayEngine::~RayEngine() { Stop(); }

@@ -57,6 +57,7 @@ class RayEngine : public StreamEngine {
   ~RayEngine() override;
 
   const char* name() const override { return "ray"; }
+  crayfish::Status ApplyOverrides() override;
   crayfish::Status Start() override;
   void Stop() override;
 

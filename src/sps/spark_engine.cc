@@ -11,15 +11,17 @@ SparkEngine::SparkEngine(sim::Simulation* sim, sim::Network* network,
                          broker::KafkaCluster* cluster, EngineConfig config,
                          ScoringConfig scoring)
     : StreamEngine(sim, network, cluster, std::move(config),
-                   std::move(scoring)) {
-  costs_.max_offsets_per_trigger = config_.overrides.GetIntOr(
-      "spark.max_offsets_per_trigger", costs_.max_offsets_per_trigger);
-  costs_.checkpoint_s = config_.overrides.GetDoubleOr(
-      "spark.checkpoint_s", costs_.checkpoint_s);
-  costs_.driver_record_s = config_.overrides.GetDoubleOr(
-      "spark.driver_record_s", costs_.driver_record_s);
-  costs_.continuous =
-      config_.overrides.GetBoolOr("spark.continuous", costs_.continuous);
+                   std::move(scoring)) {}
+
+crayfish::Status SparkEngine::ApplyOverrides() {
+  const crayfish::Config& o = config_.overrides;
+  CRAYFISH_RETURN_IF_ERROR(o.GetIfPresent("spark.max_offsets_per_trigger",
+                                          &costs_.max_offsets_per_trigger));
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("spark.checkpoint_s", &costs_.checkpoint_s));
+  CRAYFISH_RETURN_IF_ERROR(
+      o.GetIfPresent("spark.driver_record_s", &costs_.driver_record_s));
+  return o.GetIfPresent("spark.continuous", &costs_.continuous);
 }
 
 SparkEngine::~SparkEngine() { Stop(); }

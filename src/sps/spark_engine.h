@@ -63,6 +63,7 @@ class SparkEngine : public StreamEngine {
   ~SparkEngine() override;
 
   const char* name() const override { return "spark"; }
+  crayfish::Status ApplyOverrides() override;
   crayfish::Status Start() override;
   void Stop() override;
 

@@ -9,7 +9,9 @@
 #include "broker/consumer.h"
 #include "broker/partition.h"
 #include "broker/producer.h"
+#include "core/experiment.h"
 #include "obs/registry.h"
+#include "obs/timeline.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
 
@@ -190,6 +192,35 @@ TEST_F(ClusterTest, LongPollTimesOutEmpty) {
   sim_.RunUntilIdle();
   EXPECT_TRUE(answered);
   EXPECT_EQ(n, 0u);
+}
+
+// A long-poll woken by an append cancels its timeout: once the answer is
+// delivered, nothing of the fetch is left in the event queue.
+TEST_F(ClusterTest, LongPollWokenByAppendLeavesNoTimer) {
+  const size_t before = sim_.pending_events();
+  bool answered = false;
+  cluster_.Fetch("client", TopicPartition{"t", 0}, 0, 10, 1 << 20,
+                 /*max_wait=*/10.0,
+                 [&](std::vector<Record>) { answered = true; });
+  sim_.Run(0.5);
+  EXPECT_EQ(sim_.pending_events(), before + 1);  // the parked timeout
+  cluster_.Produce("client", TopicPartition{"t", 0}, {MakeRecord(5)},
+                   nullptr);
+  sim_.Run(2.0);
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(sim_.pending_events(), before);
+}
+
+// An unanswered long-poll still times out at the instant it always did.
+TEST_F(ClusterTest, UnansweredLongPollFiresAtTheSameInstant) {
+  double answered_at = -1.0;
+  cluster_.Fetch("client", TopicPartition{"t", 0}, 0, 10, 1 << 20, 0.2,
+                 [&](std::vector<Record> records) {
+                   EXPECT_TRUE(records.empty());
+                   answered_at = sim_.Now();
+                 });
+  sim_.RunUntilIdle();
+  EXPECT_DOUBLE_EQ(answered_at, 0.20094192742598688);
 }
 
 TEST_F(ClusterTest, FetchBelowRetentionAutoResets) {
@@ -417,6 +448,42 @@ TEST_F(ClientTest, ConsumerHistogramsFollowTheAttachedRegistry) {
       second.Histogram("consumer_buffer_depth", {{"group", "g"}})->count(),
       2u);
   sim_.AttachObservability(nullptr, nullptr);
+}
+
+// A Poll answered by data cancels its timeout, and the long-poll the data
+// woke cancels its own: after delivery the queue holds exactly what it
+// held before the Poll (the fetch loop's re-parked long-poll).
+TEST_F(ClientTest, PollAnsweredByDataLeavesNoTimer) {
+  ConsumerConfig cc;
+  cc.fetch_max_wait_s = 5.0;
+  KafkaConsumer consumer(&cluster_, "client", "g", cc);
+  ASSERT_TRUE(consumer.Assign("t", {0}).ok());
+  sim_.Run(1.0);  // the fetch loop's long-poll is parked at the broker
+  const size_t before = sim_.pending_events();
+  size_t delivered = 0;
+  consumer.Poll(10.0, [&](std::vector<Record> records) {
+    delivered = records.size();
+  });
+  EXPECT_EQ(sim_.pending_events(), before + 1);  // the poll timeout
+  cluster_.Produce("client", TopicPartition{"t", 0}, {MakeRecord(1)},
+                   nullptr);
+  sim_.Run(2.0);
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(sim_.pending_events(), before);
+}
+
+// An unanswered Poll still completes empty exactly at its timeout.
+TEST_F(ClientTest, UnansweredPollFiresAtTheSameInstant) {
+  KafkaConsumer consumer(&cluster_, "client", "g");
+  ASSERT_TRUE(consumer.Assign("t", {0}).ok());
+  sim_.Run(1.0);
+  double answered_at = -1.0;
+  consumer.Poll(0.3, [&](std::vector<Record> records) {
+    EXPECT_TRUE(records.empty());
+    answered_at = sim_.Now();
+  });
+  sim_.Run(2.0);
+  EXPECT_EQ(answered_at, 1.0 + 0.3);
 }
 
 TEST_F(ClientTest, SubscribeRangeAssignsAmongMembers) {
@@ -819,6 +886,33 @@ TEST_F(ClientTest, JoinUnknownTopicFails) {
   EXPECT_TRUE(consumer.SubscribeDynamic("t").ok());
   EXPECT_EQ(consumer.SubscribeDynamic("t").code(),
             crayfish::StatusCode::kFailedPrecondition);
+}
+
+// Counter gate on the DES heap: in a below-capacity flink + tf-serving run
+// every poll and long-poll is answered by data long before its timeout,
+// and each timeout leaves the queue when it is answered. So the queue
+// holds only live events: about 67 per window, against about 800 when
+// answered timeouts stayed parked until they expired.
+TEST(TimerCancelGateTest, SustainedRpcQueueHoldsOnlyLiveEvents) {
+  core::ExperimentConfig cfg;
+  cfg.engine = "flink";
+  cfg.serving = "tf-serving";
+  cfg.model = "ffnn";
+  cfg.batch_size = 1;
+  cfg.input_rate = 500.0;
+  cfg.parallelism = 1;
+  cfg.duration_s = 10.0;
+  cfg.drain_s = 2.0;
+  cfg.timeline_interval_s = 1.0;
+  auto result = core::RunExperiment(cfg);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->timeline, nullptr);
+  const auto& windows = result->timeline->windows();
+  ASSERT_GE(windows.size(), 10u);
+  for (size_t k = 0; k < windows.size(); ++k) {
+    EXPECT_LE(windows[k].gauges.at("sim_event_queue"), 150.0)
+        << "window " << k;
+  }
 }
 
 }  // namespace

@@ -148,8 +148,15 @@ TEST(ConfigTest, DefaultsAndScope) {
   Config cfg;
   cfg.Set("flink.buffer", "32768");
   cfg.Set("spark.trigger", "0.1");
-  EXPECT_EQ(cfg.GetIntOr("flink.buffer", 0), 32768);
-  EXPECT_EQ(cfg.GetIntOr("missing", 7), 7);
+  int64_t buffer = 0;
+  ASSERT_TRUE(cfg.GetIfPresent("flink.buffer", &buffer).ok());
+  EXPECT_EQ(buffer, 32768);
+  int64_t missing = 7;
+  ASSERT_TRUE(cfg.GetIfPresent("missing", &missing).ok());
+  EXPECT_EQ(missing, 7);
+  cfg.Set("bad", "12x");
+  EXPECT_FALSE(cfg.GetIfPresent("bad", &buffer).ok());
+  EXPECT_EQ(buffer, 32768);
   Config flink = cfg.Scope("flink.");
   EXPECT_EQ(flink.size(), 1u);
   EXPECT_EQ(*flink.GetInt("buffer"), 32768);

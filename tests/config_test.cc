@@ -14,6 +14,7 @@
 #include "common/config.h"
 #include "core/experiment.h"
 #include "fault/plan.h"
+#include "obs/slo.h"
 #include "scale/policy.h"
 #include "scale/workload.h"
 
@@ -171,6 +172,33 @@ TEST(ShippedConfigTest, AutoscalerJsonParsesToItsFields) {
   EXPECT_EQ(policy->seed, 42u);
 }
 
+TEST(ShippedConfigTest, SloJsonParsesToItsSpecs) {
+  auto slo = obs::SloConfig::FromFile("examples/configs/slo_default.json");
+  ASSERT_TRUE(slo.ok()) << slo.status().ToString();
+  ASSERT_EQ(slo->slos.size(), 3u);
+  const obs::SloSpec& p99 = slo->slos[0];
+  EXPECT_EQ(p99.name, "p99-latency");
+  EXPECT_EQ(p99.metric, "p99_latency_s");
+  EXPECT_TRUE(p99.has_max);
+  EXPECT_FALSE(p99.has_min);
+  EXPECT_DOUBLE_EQ(p99.max, 0.1);
+  EXPECT_DOUBLE_EQ(p99.error_budget, 0.05);
+  const obs::SloSpec& goodput = slo->slos[1];
+  EXPECT_EQ(goodput.name, "goodput");
+  EXPECT_EQ(goodput.metric, "throughput_eps");
+  EXPECT_FALSE(goodput.has_max);
+  EXPECT_TRUE(goodput.has_min);
+  EXPECT_DOUBLE_EQ(goodput.min, 500.0);
+  EXPECT_DOUBLE_EQ(goodput.error_budget, 0.2);
+  const obs::SloSpec& lag = slo->slos[2];
+  EXPECT_EQ(lag.name, "bounded-lag");
+  EXPECT_EQ(lag.metric, "consumer_lag");
+  EXPECT_TRUE(lag.has_max);
+  EXPECT_FALSE(lag.has_min);
+  EXPECT_DOUBLE_EQ(lag.max, 5000.0);
+  EXPECT_DOUBLE_EQ(lag.error_budget, 0.2);
+}
+
 TEST(ShippedConfigTest, WorkloadShapeMayNestOrSitFlat) {
   auto nested = scale::WorkloadSpec::FromJsonText(
       R"({"shape": {"kind": "replay", "points": [[0, 10], {"t_s": 5, "rate": 20}]},
@@ -253,6 +281,62 @@ TEST(ConfigRejectionTest, JsonDocumentFieldsAreCheckedByName) {
   ExpectRejected(
       fault::FaultPlan::FromJsonText(R"({"faults": [{"at_s": 1}]})").status(),
       {"faults[0]", "kind"});
+}
+
+TEST(ConfigRejectionTest, SloJsonFieldsAreCheckedByName) {
+  // A quoted number reads as the number, as in the other JSON documents;
+  // it is no longer dropped beside a valid bound.
+  auto quoted = obs::SloConfig::FromJsonText(
+      R"({"slos": [{"metric": "x", "min": 1, "max": "0.5"}]})");
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  EXPECT_TRUE(quoted->slos[0].has_max);
+  EXPECT_DOUBLE_EQ(quoted->slos[0].max, 0.5);
+  ExpectRejected(obs::SloConfig::FromJsonText(
+                     R"({"slos": [{"metric": "x", "max": 1},
+                                  {"metric": "y", "max": 1,
+                                   "error_budget": "x"}]})")
+                     .status(),
+                 {"slos[1].error_budget", "x"});
+  ExpectRejected(
+      obs::SloConfig::FromJsonText(R"({"slos": [{"metric": "x", "maxx": 1}]})")
+          .status(),
+      {"slos[0].maxx"});
+  ExpectRejected(obs::SloConfig::FromJsonText(
+                     R"({"slos": [{"metric": "x", "max": null}]})")
+                     .status(),
+                 {"slos[0].max"});
+  ExpectRejected(obs::SloConfig::FromJsonText(
+                     R"({"slos": [{"metric": "x", "max": 1}], "slo": []})")
+                     .status(),
+                 {"slo"});
+  ExpectRejected(
+      obs::SloConfig::FromJsonText(R"({"slos": [{"max": 1}]})").status(),
+      {"slos[0].metric"});
+}
+
+// Engine overrides are read by the engine that owns them, strictly: a
+// malformed value fails the run before the engine starts.
+TEST(ConfigRejectionTest, EngineOverrideValuesAreStrict) {
+  struct Case {
+    const char* engine;
+    const char* key;
+    const char* value;
+  };
+  for (const Case& c :
+       {Case{"flink", "flink.async_io", "ture"},
+        Case{"flink", "flink.async_capacity", "2.7"},
+        Case{"flink", "flink.buffer_cycle_s", "3ms"},
+        Case{"flink", "flink.stage_queue_capacity", "-1"},
+        Case{"spark", "spark.max_offsets_per_trigger", "many"},
+        Case{"spark", "spark.continuous", "maybe"},
+        Case{"ray", "ray.py_record_s", "nan"},
+        Case{"kafka-streams", "kafka_streams.idle_pickup_s", ""}}) {
+    auto exp = MapProperties(std::string("engine = ") + c.engine +
+                             "\nduration_s = 1\ndrain_s = 1\n" + c.key +
+                             " = " + c.value + "\n");
+    ASSERT_TRUE(exp.ok()) << c.key << ": " << exp.status().ToString();
+    ExpectRejected(core::RunExperiment(*exp).status(), {c.key});
+  }
 }
 
 // -------------------------------------------------------- scalar parser --

@@ -41,15 +41,19 @@ TEST(ExperimentTest, RejectsNonFiniteOrNegativeSpans) {
     double drain_s;
     const char* key;
   };
-  // Non-finite spans never end the run; negative ones end it before it
-  // starts. Each must fail closed and name the offending key.
+  // Non-finite or huge spans never end the run; negative ones end it
+  // before it starts. Each must fail closed and name the offending key.
   for (const Case& c : {Case{nan, 4.0, "duration_s"},
                         Case{inf, 4.0, "duration_s"},
                         Case{-inf, 4.0, "duration_s"},
                         Case{-1.0, 4.0, "duration_s"},
                         Case{8.0, -1.0, "drain_s"},
                         Case{8.0, nan, "drain_s"},
-                        Case{8.0, inf, "drain_s"}}) {
+                        Case{8.0, inf, "drain_s"},
+                        // Finite, but past the span the clock resolves.
+                        Case{1e300, 4.0, "duration_s"},
+                        Case{1e6 + 1.0, 0.0, "duration_s"},
+                        Case{1e6 - 1.0, 4.0, "drain_s"}}) {
     ExperimentConfig cfg = QuickConfig("flink", "onnx");
     cfg.duration_s = c.duration_s;
     cfg.drain_s = c.drain_s;

@@ -1,6 +1,9 @@
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -33,42 +36,92 @@ TEST(EventQueueTest, OrdersByTimeThenSequence) {
 // pops interleave the way real runs do and freed slots are reused. Times
 // sit on a 1/8 s grid (many exact ties), and some requests lie in the
 // past (ScheduleAt) or have negative delays (Schedule): both clamp to now.
+// Both outside the run and from inside running actions, random Cancels
+// hit pending events (any heap position, so the moved-in last key sifts
+// up or down), ids that already ran or were cancelled (their slots are
+// usually reused by then), and the running action's own id. A cancel
+// succeeds exactly when the reference still holds the event; a cancelled
+// action never runs and its captures are released at once.
 TEST(EventQueueTest, MatchesReferenceSortUnderInterleavedPushPop) {
   Simulation sim;
   Rng rng(20240917);
   // (time, seq, id) — the seq mirrors the kernel's scheduling counter.
-  std::set<std::tuple<SimTime, uint64_t, int>> pending;
+  using RefKey = std::tuple<SimTime, uint64_t, int>;
+  std::set<RefKey> pending;
+  std::map<int, RefKey> pending_by_id;
+  std::vector<EventId> handles;  // by id; stale once the event is settled
+  std::vector<std::weak_ptr<int>> captures;  // by id
   uint64_t next_seq = 0;
-  int next_id = 0;
   int fired = 0;
+  int cancelled = 0;
+  int stale_rejected = 0;
+
+  const auto cancel = [&](int id) {
+    auto it = pending_by_id.find(id);
+    const bool expected = it != pending_by_id.end();
+    EXPECT_EQ(sim.Cancel(handles[static_cast<size_t>(id)]), expected)
+        << "id " << id;
+    if (!expected) {
+      ++stale_rejected;
+      return;
+    }
+    pending.erase(it->second);
+    pending_by_id.erase(it);
+    EXPECT_TRUE(captures[static_cast<size_t>(id)].expired()) << "id " << id;
+    ++cancelled;
+  };
+  // Cancels a random id: half the time a pending one, otherwise any id
+  // scheduled so far (most of those are stale).
+  const auto cancel_random = [&] {
+    if (!pending_by_id.empty() && rng.Bernoulli(0.5)) {
+      auto it = pending_by_id.begin();
+      std::advance(it, rng.NextUint64(pending_by_id.size()));
+      cancel(it->first);
+    } else if (!handles.empty()) {
+      cancel(static_cast<int>(rng.NextUint64(handles.size())));
+    }
+  };
 
   std::function<void()> schedule_random = [&] {
-    const int id = next_id++;
+    const int id = static_cast<int>(handles.size());
     const SimTime grid = 0.125 * static_cast<double>(rng.NextUint64(16));
-    auto action = [&, id] {
+    auto token = std::make_shared<int>(id);
+    captures.push_back(token);
+    auto action = [&, id, token] {
       ASSERT_FALSE(pending.empty());
       const auto& [time, seq, expected_id] = *pending.begin();
       EXPECT_EQ(id, expected_id);
+      EXPECT_EQ(*token, id);
       EXPECT_EQ(sim.Now(), time);
+      pending_by_id.erase(expected_id);
       pending.erase(pending.begin());
       ++fired;
+      // The running event is no longer pending: cancelling it is stale.
+      if (rng.Bernoulli(0.2)) cancel(id);
       for (uint64_t k = rng.NextUint64(5) / 2; k > 0; --k) schedule_random();
+      if (rng.Bernoulli(0.3)) cancel_random();
     };
     SimTime at;
+    EventId handle;
     if (rng.Bernoulli(0.5)) {
       const SimTime delay = rng.Bernoulli(0.2) ? -grid : grid;
       at = sim.Now() + (delay < 0.0 ? 0.0 : delay);
-      sim.Schedule(delay, action);
+      handle = sim.Schedule(delay, std::move(action));
     } else {
       const SimTime time = sim.Now() + grid - 1.0;  // past when grid < 1
       at = time < sim.Now() ? sim.Now() : time;
-      sim.ScheduleAt(time, action);
+      handle = sim.ScheduleAt(time, std::move(action));
     }
-    pending.emplace(at, next_seq++, id);
+    token.reset();
+    handles.push_back(handle);
+    const RefKey key{at, next_seq++, id};
+    pending.insert(key);
+    pending_by_id.emplace(id, key);
   };
 
   for (int round = 0; round < 400; ++round) {
     for (uint64_t k = rng.NextUint64(6); k > 0; --k) schedule_random();
+    for (uint64_t k = rng.NextUint64(3); k > 0; --k) cancel_random();
     const SimTime until = sim.Now() + 0.125 * rng.NextUint64(6);
     sim.Run(until);
     ASSERT_EQ(sim.pending_events(), pending.size());
@@ -78,8 +131,53 @@ TEST(EventQueueTest, MatchesReferenceSortUnderInterleavedPushPop) {
   }
   sim.RunUntilIdle();
   EXPECT_TRUE(pending.empty());
-  EXPECT_EQ(fired, next_id);
+  EXPECT_EQ(fired + cancelled, static_cast<int>(handles.size()));
   EXPECT_GT(fired, 1000);
+  EXPECT_GT(cancelled, 100);
+  EXPECT_GT(stale_rejected, 100);
+  // A default id names no event.
+  EXPECT_FALSE(sim.Cancel(EventId{}));
+}
+
+// Cancelling an interior key moves the heap's last key into the hole. In
+// a 4-ary heap built in push order as {0 | 10 1 1 1 | 11 11 11 11 | 2},
+// the last key (2, a grandchild of the root via index 2) lands under the
+// 10 at index 1 when the 11 at index 5 is cancelled, so it must sift up.
+TEST(EventQueueTest, CancelSiftsTheMovedKeyUp) {
+  EventQueue q;
+  std::vector<double> order;
+  std::vector<EventId> ids;
+  for (double t : {0.0, 10.0, 1.0, 1.0, 1.0, 11.0, 11.0, 11.0, 11.0, 2.0}) {
+    ids.push_back(q.Push(t, [&order, t] { order.push_back(t); }));
+  }
+  ASSERT_TRUE(q.Cancel(ids[5]));
+  EXPECT_EQ(q.size(), 9u);
+  while (!q.empty()) q.Pop().action();
+  EXPECT_EQ(order, (std::vector<double>{0, 1, 1, 1, 2, 10, 11, 11, 11}));
+}
+
+// An id whose event ran is stale even after its slot is reused, and
+// Cancel releases the parked action's captures without running it.
+TEST(EventQueueTest, CancelRejectsStaleIdsAndReleasesCaptures) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  bool ran = false;
+  const EventId first = q.Push(1.0, [&ran] { ran = true; });
+  q.Pop().action();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(q.Cancel(first));  // already ran
+  const EventId reused = q.Push(2.0, [token, &ran] { ran = false; });
+  EXPECT_EQ(reused.slot, first.slot);
+  EXPECT_FALSE(q.Cancel(first));  // same slot, other seq
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(q.Cancel(reused));
+  EXPECT_EQ(token.use_count(), 1);  // the capture went with the event
+  EXPECT_FALSE(q.Cancel(reused));   // already cancelled
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(ran);  // the cancelled action never ran
+  // The cancelled slot is reused first, like a popped one.
+  EXPECT_EQ(q.Push(3.0, [] {}).slot, reused.slot);
 }
 
 // A running action schedules enough events to grow the slot array many
